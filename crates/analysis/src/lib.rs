@@ -33,7 +33,7 @@
 //! | `lock` | no nested guards; no lock held across socket I/O (one file) |
 //! | `lock-order` | no cycle in the global guard-acquisition order; no lock held across I/O *transitively through callees* |
 //! | `dispatch` | every variant of a registered enum has an arm at its designated dispatch sites |
-//! | `oracle` | every `core::ops` operator's `specops::` twin is *called* from a proptest that also runs the physical path (threads 1 and 4 for `_opts` operators) |
+//! | `oracle` | every `core::ops` operator's `specops::` twin is *called* from a proptest that also runs the physical path (threads 1 and 4 for operators that take an `ExecOptions`) |
 //! | `wire` | server dispatch arms, `Client` methods and the `WIRE_PROTOCOL.md` op table agree |
 //! | `env` | every `AGGPROV_*` literal is registered and README-documented |
 //!

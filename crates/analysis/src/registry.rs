@@ -23,10 +23,6 @@ pub const ENV_REGISTRY: &[(&str, &str)] = &[
         "AGGPROV_THREADS",
         "worker-thread count for the parallel ground-partition pipeline",
     ),
-    (
-        "AGGPROV_TYPED",
-        "typed columnar kernels toggle: 1 (default) typed, 0 boxed baseline",
-    ),
 ];
 
 /// Looks up a variable's description.

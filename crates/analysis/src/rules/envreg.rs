@@ -124,11 +124,9 @@ mod tests {
         }
     }
 
-    const ALL_DOCUMENTED: &str =
-        "AGGPROV_THREADS AGGPROV_TYPED AGGPROV_BENCH_COMMIT AGGPROV_BENCH_SAMPLES";
+    const ALL_DOCUMENTED: &str = "AGGPROV_THREADS AGGPROV_BENCH_COMMIT AGGPROV_BENCH_SAMPLES";
     const READS_ALL: &str = "fn f() {\n\
         env(\"AGGPROV_THREADS\");\n\
-        env(\"AGGPROV_TYPED\");\n\
         env(\"AGGPROV_BENCH_COMMIT\");\n\
         env(\"AGGPROV_BENCH_SAMPLES\");\n\
         }\n";

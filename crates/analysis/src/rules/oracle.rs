@@ -8,18 +8,17 @@
 //!
 //! 1. every public operator function in `core/src/ops.rs` (an
 //!    `MKRel`-taking, `Result`-returning `pub fn`) must have a `specops`
-//!    function of the same base name (`_opts` variants share their
-//!    base's oracle);
-//! 2. some proptest file must **call** `specops::<base>(...)` — an
+//!    function of the same name;
+//! 2. some proptest file must **call** `specops::<name>(...)` — an
 //!    actual call expression, not a name in a comment or string;
 //! 3. that same file must also call the physical path
-//!    (`ops::<base>(...)` or `ops::<base>_opts(...)`), so the oracle and
-//!    the fast path actually meet in one test;
-//! 4. for operators with an `_opts` variant (the threaded fast paths),
-//!    an oracle-calling file must pin **both** `threads = 1` and
-//!    `threads = 4`: via `with_threads(1)` / `with_threads(4)` literals,
-//!    `ExecOptions::serial()` (= 1), or a `for t in [1, 4]` loop whose
-//!    variable feeds `with_threads(t)`.
+//!    (`ops::<name>(...)`), so the oracle and the fast path actually meet
+//!    in one test;
+//! 4. for threaded operators — those whose signature takes an
+//!    `ExecOptions` — an oracle-calling file must pin **both**
+//!    `threads = 1` and `threads = 4`: via `with_threads(1)` /
+//!    `with_threads(4)` literals, `ExecOptions::serial()` (= 1), or a
+//!    `for t in [1, 4]` loop whose variable feeds `with_threads(t)`.
 
 use crate::lexer::Tok;
 use crate::{Diagnostic, SourceFile, Workspace};
@@ -45,22 +44,15 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
         })
         .collect();
 
-    let exports = operator_exports(ops);
-    let opts_bases: BTreeSet<&str> = exports
-        .iter()
-        .filter_map(|(n, _)| n.strip_suffix("_opts"))
-        .collect();
-
     let mut out = Vec::new();
-    for (name, line) in &exports {
-        let base = name.strip_suffix("_opts").unwrap_or(name).to_string();
-        if !spec_fns.contains(&base) {
+    for (name, line, threaded) in operator_exports(ops) {
+        if !spec_fns.contains(&name) {
             out.push(Diagnostic {
                 path: ops.path.clone(),
-                line: *line,
+                line,
                 rule: "oracle",
                 message: format!(
-                    "operator `{name}` has no `specops::{base}` oracle — add the \
+                    "operator `{name}` has no `specops::{name}` oracle — add the \
                      literal-spec twin before trusting the fast path"
                 ),
             });
@@ -70,38 +62,36 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
         // earns nothing.
         let callers: Vec<&&SourceFile> = proptests
             .iter()
-            .filter(|f| calls(f, "specops", &base))
+            .filter(|f| calls(f, "specops", &name))
             .collect();
         if callers.is_empty() {
             out.push(Diagnostic {
                 path: ops.path.clone(),
-                line: *line,
+                line,
                 rule: "oracle",
                 message: format!(
-                    "no proptest calls `specops::{base}(...)` — operator `{name}` \
+                    "no proptest calls `specops::{name}(...)` — operator `{name}` \
                      is effectively unoracled (a textual mention is not a test)"
                 ),
             });
             continue;
         }
-        let paired: Vec<&&&SourceFile> = callers
-            .iter()
-            .filter(|f| calls(f, "ops", &base) || calls(f, "ops", &format!("{base}_opts")))
-            .collect();
+        let paired: Vec<&&&SourceFile> =
+            callers.iter().filter(|f| calls(f, "ops", &name)).collect();
         if paired.is_empty() {
             out.push(Diagnostic {
                 path: ops.path.clone(),
-                line: *line,
+                line,
                 rule: "oracle",
                 message: format!(
-                    "`specops::{base}` is called, but no calling proptest file \
-                     also runs the physical path (`ops::{base}`) — the oracle \
+                    "`specops::{name}` is called, but no calling proptest file \
+                     also runs the physical path (`ops::{name}`) — the oracle \
                      never meets the fast path"
                 ),
             });
             continue;
         }
-        if opts_bases.contains(base.as_str()) {
+        if threaded {
             let threads_ok = paired.iter().any(|f| {
                 let ev = thread_evidence(f);
                 ev.contains(&1) && ev.contains(&4)
@@ -109,7 +99,7 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
             if !threads_ok {
                 out.push(Diagnostic {
                     path: ops.path.clone(),
-                    line: *line,
+                    line,
                     rule: "oracle",
                     message: format!(
                         "operator `{name}` has a threaded fast path but no \
@@ -124,8 +114,10 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
 }
 
 /// Public operator exports of `ops.rs`: module-level `pub fn`s that take
-/// a relational argument and return `Result`, with the line of the `fn`.
-pub fn operator_exports(f: &SourceFile) -> Vec<(String, u32)> {
+/// a relational argument and return `Result`, with the line of the `fn`
+/// and whether the signature takes an `ExecOptions` (a threaded fast
+/// path).
+pub fn operator_exports(f: &SourceFile) -> Vec<(String, u32, bool)> {
     let toks = &f.tokens;
     let mut out = Vec::new();
     let mut depth = 0i32;
@@ -141,20 +133,23 @@ pub fn operator_exports(f: &SourceFile) -> Vec<(String, u32)> {
                     && toks.get(i + 1).is_some_and(|t| t.tok.is_ident("fn")) =>
             {
                 if let Some(name) = toks.get(i + 2).and_then(|t| t.tok.ident()) {
-                    // The signature runs to the body `{`; relational +
-                    // Result detection is a token scan over it.
+                    // The signature runs to the body `{`; relational,
+                    // Result and ExecOptions detection is a token scan
+                    // over it.
                     let mut j = i + 3;
                     let mut relational = false;
                     let mut fallible = false;
+                    let mut threaded = false;
                     while j < toks.len() && !toks[j].tok.is(b'{') && !toks[j].tok.is(b';') {
                         if let Some(id) = toks[j].tok.ident() {
                             relational |= id == "MKRel";
                             fallible |= id == "Result";
+                            threaded |= id == "ExecOptions";
                         }
                         j += 1;
                     }
                     if relational && fallible {
-                        out.push((name.to_string(), toks[i].line));
+                        out.push((name.to_string(), toks[i].line, threaded));
                     }
                 }
             }
@@ -283,8 +278,7 @@ mod tests {
     }
 
     const OPS: &str = "\
-pub fn union<A>(r1: &MKRel<A>, r2: &MKRel<A>) -> Result<MKRel<A>> { todo() }
-pub fn union_opts<A>(r1: &MKRel<A>, r2: &MKRel<A>, o: Opts) -> Result<MKRel<A>> { todo() }
+pub fn union<A>(r1: &MKRel<A>, r2: &MKRel<A>, o: &ExecOptions) -> Result<MKRel<A>> { todo() }
 pub fn has_symbolic<A>(rel: &MKRel<A>) -> bool { false }
 ";
     const SPEC: &str =
@@ -295,8 +289,8 @@ pub fn has_symbolic<A>(rel: &MKRel<A>) -> bool { false }
         let prop = "\
 fn t() {
     let spec = specops::union(&a, &b).unwrap();
-    let one = ops::union_opts(&a, &b, ExecOptions::serial()).unwrap();
-    let four = ops::union_opts(&a, &b, ExecOptions::default().with_threads(4)).unwrap();
+    let one = ops::union(&a, &b, &ExecOptions::serial()).unwrap();
+    let four = ops::union(&a, &b, &ExecOptions::with_threads(4)).unwrap();
 }
 ";
         let w = ws(OPS, SPEC, prop);
@@ -310,7 +304,7 @@ fn t() {
 fn t() {
     let spec = specops::union(&a, &b).unwrap();
     for threads in [1, 4] {
-        let got = ops::union_opts(&a, &b, ExecOptions::default().with_threads(threads)).unwrap();
+        let got = ops::union(&a, &b, &ExecOptions::with_threads(threads)).unwrap();
     }
 }
 ";
@@ -321,12 +315,10 @@ fn t() {
     fn missing_oracle_is_flagged_once_per_export() {
         let w = ws(OPS, "", "");
         let d = check(&w);
-        // `union` and `union_opts` both fail (same base); the bool-
-        // returning predicate is not an operator export.
-        assert_eq!(d.len(), 2);
-        assert!(d.iter().all(|x| x.rule == "oracle"));
-        assert_eq!(d[0].line, 1);
-        assert_eq!(d[1].line, 2);
+        // `union` fails; the bool-returning predicate is not an operator
+        // export.
+        assert_eq!(d.len(), 1);
+        assert_eq!((d[0].rule, d[0].line), ("oracle", 1));
     }
 
     #[test]
@@ -341,7 +333,7 @@ fn t() {
 }
 ";
         let d = check(&ws(OPS, SPEC, prop));
-        assert_eq!(d.len(), 2, "{d:?}");
+        assert_eq!(d.len(), 1, "{d:?}");
         assert!(
             d[0].message.contains("no proptest calls"),
             "{}",
@@ -353,7 +345,7 @@ fn t() {
     fn oracle_call_without_physical_path_is_flagged() {
         let prop = "fn t() { let spec = specops::union(&a, &b).unwrap(); }";
         let d = check(&ws(OPS, SPEC, prop));
-        assert_eq!(d.len(), 2, "{d:?}");
+        assert_eq!(d.len(), 1, "{d:?}");
         assert!(
             d[0].message.contains("never meets the fast path"),
             "{}",
@@ -362,18 +354,19 @@ fn t() {
     }
 
     #[test]
-    fn missing_thread_evidence_is_flagged_for_opts_operators() {
+    fn missing_thread_evidence_is_flagged_for_threaded_operators() {
         let prop = "\
 fn t() {
     let spec = specops::union(&a, &b).unwrap();
-    let got = ops::union_opts(&a, &b, ExecOptions::default().with_threads(4)).unwrap();
+    let got = ops::union(&a, &b, &ExecOptions::with_threads(4)).unwrap();
 }
 ";
         let d = check(&ws(OPS, SPEC, prop));
-        assert_eq!(d.len(), 2, "{d:?}");
+        assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("threads=1"), "{}", d[0].message);
 
-        // An operator with no `_opts` variant needs no thread evidence.
+        // An operator without an `ExecOptions` parameter needs no thread
+        // evidence.
         let ops_single = "pub fn union<A>(r: &MKRel<A>) -> Result<MKRel<A>> { todo() }\n";
         let prop_single = "fn t() { specops::union(&a); ops::union(&a); }";
         assert!(check(&ws(ops_single, SPEC, prop_single)).is_empty());
@@ -384,8 +377,8 @@ fn t() {
         let prop = "\
 fn t() {
     let spec = specops::union::<Tropical>(&a, &b).unwrap();
-    let one = ops::union_opts::<Tropical>(&a, &b, ExecOptions::serial()).unwrap();
-    let four = ops::union_opts::<Tropical>(&a, &b, opts.with_threads(4)).unwrap();
+    let one = ops::union::<Tropical>(&a, &b, &ExecOptions::serial()).unwrap();
+    let four = ops::union::<Tropical>(&a, &b, &ExecOptions::with_threads(4)).unwrap();
 }
 ";
         assert!(check(&ws(OPS, SPEC, prop)).is_empty());

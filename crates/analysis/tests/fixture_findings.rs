@@ -335,6 +335,31 @@ fn oracle_rule_rejects_textual_only_references() {
 }
 
 #[test]
+fn oracle_rule_requires_both_thread_counts_for_execoptions_operators() {
+    // A threaded operator is recognised by its `ExecOptions` parameter,
+    // not by a name suffix: a proptest pinning only threads = 1 is flagged.
+    let w = ws(vec![
+        ("crates/core/src/ops.rs", fixture("oracle_threaded_ops.rs")),
+        (
+            "crates/core/src/specops.rs",
+            fixture("oracle_threaded_ops.rs"),
+        ),
+        (
+            "crates/core/tests/blend_proptests.rs",
+            fixture("oracle_threads_one_proptest.rs"),
+        ),
+    ]);
+    let d = run_all(&w);
+    let o = of_rule(&d, "oracle");
+    assert_eq!(o.len(), 1, "{d:?}");
+    assert_eq!(
+        (o[0].path.as_str(), o[0].line),
+        ("crates/core/src/ops.rs", 4)
+    );
+    assert!(o[0].message.contains("threads=4"), "{}", o[0].message);
+}
+
+#[test]
 fn oracle_rule_is_satisfied_by_a_proptest_calling_both_paths() {
     let proptest = "#[test]\n\
                     fn orphaned_matches() {\n\

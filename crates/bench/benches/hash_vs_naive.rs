@@ -23,6 +23,7 @@ use aggprov_bench::fixtures::{dept_table, emp_table, union_pair, EMP_ROWS, SMALL
 use aggprov_bench::parbench::time;
 use aggprov_bench::trajectory::out_path;
 use aggprov_core::ops::{self, AggSpec};
+use aggprov_core::par::ExecOptions;
 use aggprov_core::specops;
 use criterion::quick_mode_samples;
 use std::time::Duration;
@@ -49,6 +50,7 @@ fn main() {
     let dim = dept_table();
     let (small_a, small_b) = union_pair(SMALL_ROWS);
     let gb_specs = [AggSpec::new(MonoidKind::Sum, "sal")];
+    let serial = ExecOptions::serial();
 
     println!("== hash_vs_naive ({samples} samples, emp = {EMP_ROWS} rows) ==");
     let mut results = Vec::new();
@@ -71,7 +73,7 @@ fn main() {
             std::hint::black_box(specops::join_on(&emp, &dim, &[("dept", "dept2")]).unwrap());
         }),
         hash: time(samples, || {
-            std::hint::black_box(ops::join_on(&emp, &dim, &[("dept", "dept2")]).unwrap());
+            std::hint::black_box(ops::join_on(&emp, &dim, &[("dept", "dept2")], &serial).unwrap());
         }),
     });
     push(Measurement {
@@ -81,7 +83,7 @@ fn main() {
             std::hint::black_box(specops::group_by(&emp, &["dept"], &gb_specs).unwrap());
         }),
         hash: time(samples, || {
-            std::hint::black_box(ops::group_by(&emp, &["dept"], &gb_specs).unwrap());
+            std::hint::black_box(ops::group_by(&emp, &["dept"], &gb_specs, &serial).unwrap());
         }),
     });
     push(Measurement {
@@ -91,7 +93,7 @@ fn main() {
             std::hint::black_box(specops::union(&small_a, &small_b).unwrap());
         }),
         hash: time(samples, || {
-            std::hint::black_box(ops::union(&small_a, &small_b).unwrap());
+            std::hint::black_box(ops::union(&small_a, &small_b, &serial).unwrap());
         }),
     });
     push(Measurement {
@@ -101,18 +103,18 @@ fn main() {
             std::hint::black_box(specops::project(&small_a, &["dept"]).unwrap());
         }),
         hash: time(samples, || {
-            std::hint::black_box(ops::project(&small_a, &["dept"]).unwrap());
+            std::hint::black_box(ops::project(&small_a, &["dept"], &serial).unwrap());
         }),
     });
 
     // Sanity: the two paths agree on every workload (cheap versions).
     let tiny = emp_table(200);
     assert_eq!(
-        ops::join_on(&tiny, &dim, &[("dept", "dept2")]).unwrap(),
+        ops::join_on(&tiny, &dim, &[("dept", "dept2")], &serial).unwrap(),
         specops::join_on(&tiny, &dim, &[("dept", "dept2")]).unwrap()
     );
     assert_eq!(
-        ops::group_by(&tiny, &["dept"], &gb_specs).unwrap(),
+        ops::group_by(&tiny, &["dept"], &gb_specs, &serial).unwrap(),
         specops::group_by(&tiny, &["dept"], &gb_specs).unwrap()
     );
 

@@ -4,6 +4,7 @@
 
 use aggprov_algebra::monoid::MonoidKind;
 use aggprov_core::ops::{group_by, select_eq, AggSpec};
+use aggprov_core::par::ExecOptions;
 use aggprov_core::Value;
 use aggprov_workloads::org::{org, OrgParams};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -23,8 +24,13 @@ fn bench(c: &mut Criterion) {
             &workload.emp,
             |b, emp| {
                 b.iter(|| {
-                    group_by(emp, &["dept"], &[AggSpec::new(MonoidKind::Sum, "sal")])
-                        .expect("group by")
+                    group_by(
+                        emp,
+                        &["dept"],
+                        &[AggSpec::new(MonoidKind::Sum, "sal")],
+                        &ExecOptions::serial(),
+                    )
+                    .expect("group by")
                 });
             },
         );
@@ -32,6 +38,7 @@ fn bench(c: &mut Criterion) {
             &workload.emp,
             &["dept"],
             &[AggSpec::new(MonoidKind::Sum, "sal")],
+            &ExecOptions::serial(),
         )
         .expect("group by");
         group.bench_with_input(

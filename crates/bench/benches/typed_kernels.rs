@@ -5,8 +5,9 @@
 //! the *same* `Chunk` entry points, varying only the column layout:
 //! unboxed `Vec<i64>` runs and dictionary-encoded strings with compiled
 //! literal tests and branchless selection compaction, against the boxed
-//! layout the engine runs under `AGGPROV_TYPED=0`. Plus one sharding
-//! point (the same typed filter, serial vs a host-clamped worker count),
+//! layout the engine runs under `ExecOptions::with_typed(false)`. Plus
+//! one sharding point (the same typed filter, serial vs a host-clamped
+//! worker count),
 //! recorded with a per-point `"threads"` field so the gate clamps it to
 //! the judging host's CPUs. Writes `BENCH_pr9.json`; sample count follows
 //! `AGGPROV_BENCH_SAMPLES` (CI quick mode). Output goes to

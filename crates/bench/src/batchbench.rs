@@ -80,8 +80,8 @@ fn tuple_pipeline(emp: &MKRel<Prov>, dim: &MKRel<Prov>) -> MKRel<Prov> {
     let serial = ExecOptions::serial();
     let f = tuple_filter(emp, 2, SAL_CUT);
     let f = tuple_filter(&f, 1, DEPT_CUT);
-    let p = ops::project_opts(&f, &["emp", "dept"], &serial).expect("project");
-    ops::join_on_opts(&p, dim, &[("dept", "dept2")], &serial).expect("join")
+    let p = ops::project(&f, &["emp", "dept"], &serial).expect("project");
+    ops::join_on(&p, dim, &[("dept", "dept2")], &serial).expect("join")
 }
 
 /// The same pipeline in chunk form: selection vector → column gather →
@@ -125,7 +125,7 @@ fn batch_pipeline(emp: &MKRel<Prov>, dim: &MKRel<Prov>) -> MKRel<Prov> {
 fn tuple_filter_project(emp: &MKRel<Prov>) -> MKRel<Prov> {
     let serial = ExecOptions::serial();
     let f = tuple_filter(emp, 2, SAL_CUT);
-    ops::project_opts(&f, &["emp", "dept"], &serial).expect("project")
+    ops::project(&f, &["emp", "dept"], &serial).expect("project")
 }
 
 fn batch_filter_project(emp: &MKRel<Prov>) -> MKRel<Prov> {

@@ -16,6 +16,7 @@ use aggprov_core::eval::{collapse, map_hom_mk};
 use aggprov_core::km::Km;
 use aggprov_core::naive::{naive_size, naive_table};
 use aggprov_core::ops::{group_by, select_eq, AggSpec, MKRel};
+use aggprov_core::par::ExecOptions;
 use aggprov_core::{Prov, Value};
 use aggprov_engine::{Database, ProvDb};
 use aggprov_krel::relation::Relation;
@@ -265,6 +266,7 @@ fn t7_overhead() {
             &workload.emp,
             &["dept"],
             &[AggSpec::new(MonoidKind::Sum, "sal")],
+            &ExecOptions::serial(),
         )
         .expect("group by");
         let having = select_eq(&grouped, "sal", &Value::int(1000)).expect("having");
@@ -363,12 +365,12 @@ fn t9_example_316() {
     let joined = {
         let s2 = s.rename("a", "b").expect("rename");
         let j = product(&s2, &r).expect("product");
-        project(&j, &["b"])
+        project(&j, &["b"], &ExecOptions::serial())
             .expect("project")
             .rename("b", "a")
             .expect("rename")
     };
-    let unioned = union(&r, &joined).expect("union");
+    let unioned = union(&r, &joined, &ExecOptions::serial()).expect("union");
     let total = agg(&unioned, AggSpec::new(MonoidKind::Sum, "a")).expect("agg");
     println!("AGG(R ∪ Π_S.A(S ⋈ R)) over SN =");
     println!("{total}");
@@ -401,8 +403,13 @@ fn t10_eager_resolution_ablation() {
         ..Default::default()
     });
     let bag_emp = aggprov_core::eval::map_mk(&workload.emp, &|_| Nat(1));
-    let grouped =
-        group_by(&bag_emp, &["dept"], &[AggSpec::new(MonoidKind::Sum, "sal")]).expect("group by");
+    let grouped = group_by(
+        &bag_emp,
+        &["dept"],
+        &[AggSpec::new(MonoidKind::Sum, "sal")],
+        &ExecOptions::serial(),
+    )
+    .expect("group by");
     let eager = select_eq(&grouped, "sal", &Value::int(1000)).expect("having");
     let eager_size: usize = eager.iter().map(|(_, k)| 1 + format!("{k}").len()).sum();
 

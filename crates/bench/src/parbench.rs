@@ -65,12 +65,12 @@ pub fn measure(samples: usize, threads: usize) -> Vec<ParPoint> {
     // Sanity: the two paths agree (cheap versions) before we time them.
     let tiny = emp_table(200);
     assert_eq!(
-        ops::join_on_opts(&tiny, &dim, &[("dept", "dept2")], &par).unwrap(),
-        ops::join_on_opts(&tiny, &dim, &[("dept", "dept2")], &serial).unwrap()
+        ops::join_on(&tiny, &dim, &[("dept", "dept2")], &par).unwrap(),
+        ops::join_on(&tiny, &dim, &[("dept", "dept2")], &serial).unwrap()
     );
     assert_eq!(
-        ops::group_by_opts(&tiny, &["dept"], &gb_specs, &par).unwrap(),
-        ops::group_by_opts(&tiny, &["dept"], &gb_specs, &serial).unwrap()
+        ops::group_by(&tiny, &["dept"], &gb_specs, &par).unwrap(),
+        ops::group_by(&tiny, &["dept"], &gb_specs, &serial).unwrap()
     );
 
     vec![
@@ -79,45 +79,41 @@ pub fn measure(samples: usize, threads: usize) -> Vec<ParPoint> {
             rows: EMP_ROWS,
             t1: time(samples, || {
                 std::hint::black_box(
-                    ops::join_on_opts(&emp, &dim, &[("dept", "dept2")], &serial).unwrap(),
+                    ops::join_on(&emp, &dim, &[("dept", "dept2")], &serial).unwrap(),
                 );
             }),
             tn: time(samples, || {
-                std::hint::black_box(
-                    ops::join_on_opts(&emp, &dim, &[("dept", "dept2")], &par).unwrap(),
-                );
+                std::hint::black_box(ops::join_on(&emp, &dim, &[("dept", "dept2")], &par).unwrap());
             }),
         },
         ParPoint {
             op: "group_by",
             rows: EMP_ROWS,
             t1: time(samples, || {
-                std::hint::black_box(
-                    ops::group_by_opts(&emp, &["dept"], &gb_specs, &serial).unwrap(),
-                );
+                std::hint::black_box(ops::group_by(&emp, &["dept"], &gb_specs, &serial).unwrap());
             }),
             tn: time(samples, || {
-                std::hint::black_box(ops::group_by_opts(&emp, &["dept"], &gb_specs, &par).unwrap());
+                std::hint::black_box(ops::group_by(&emp, &["dept"], &gb_specs, &par).unwrap());
             }),
         },
         ParPoint {
             op: "union",
             rows: SMALL_ROWS,
             t1: time(samples, || {
-                std::hint::black_box(ops::union_opts(&small_a, &small_b, &serial).unwrap());
+                std::hint::black_box(ops::union(&small_a, &small_b, &serial).unwrap());
             }),
             tn: time(samples, || {
-                std::hint::black_box(ops::union_opts(&small_a, &small_b, &par).unwrap());
+                std::hint::black_box(ops::union(&small_a, &small_b, &par).unwrap());
             }),
         },
         ParPoint {
             op: "project",
             rows: SMALL_ROWS,
             t1: time(samples, || {
-                std::hint::black_box(ops::project_opts(&small_a, &["dept"], &serial).unwrap());
+                std::hint::black_box(ops::project(&small_a, &["dept"], &serial).unwrap());
             }),
             tn: time(samples, || {
-                std::hint::black_box(ops::project_opts(&small_a, &["dept"], &par).unwrap());
+                std::hint::black_box(ops::project(&small_a, &["dept"], &par).unwrap());
             }),
         },
     ]

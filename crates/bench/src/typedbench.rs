@@ -3,8 +3,8 @@
 //! (unboxed `Vec<i64>` runs, dictionary-encoded strings, branchless
 //! selection compaction, integer-hashed join probing) against the boxed
 //! `Const`-per-row kernels of the same batch pipeline — the exact code
-//! the engine runs under `AGGPROV_TYPED=0` — and renders the
-//! `BENCH_pr9.json` trajectory point.
+//! the engine runs under `ExecOptions::with_typed(false)` — and renders
+//! the `BENCH_pr9.json` trajectory point.
 //!
 //! Both layouts execute the *same* `Chunk` entry points
 //! ([`aggprov_core::ops::batch`]); the only variable is the

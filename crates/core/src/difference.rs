@@ -20,6 +20,7 @@
 
 use crate::annotation::AggAnnotation;
 use crate::ops::{self, AggSpec, MKRel};
+use crate::par::ExecOptions;
 use crate::value::Value;
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::monoid::MonoidKind;
@@ -90,10 +91,16 @@ pub fn difference_encoded<A: AggAnnotation>(r: &MKRel<A>, s: &MKRel<A>) -> Resul
         [(vec![Value::Const(Const::Bool(true))], A::one())],
     )?;
 
+    let serial = ExecOptions::serial();
     let r_bot = ops::product(r, &bot)?;
     let s_top = ops::product(s, &top)?;
-    let u = ops::union(&r_bot, &s_top)?;
-    let g = ops::group_by(&u, &attr_refs, &[AggSpec::new(MonoidKind::Or, B_ATTR)])?;
+    let u = ops::union(&r_bot, &s_top, &serial)?;
+    let g = ops::group_by(
+        &u,
+        &attr_refs,
+        &[AggSpec::new(MonoidKind::Or, B_ATTR)],
+        &serial,
+    )?;
 
     // Rename the aggregation result's attributes so the schemas are
     // disjoint, then join comparing every original attribute and the
@@ -111,8 +118,8 @@ pub fn difference_encoded<A: AggAnnotation>(r: &MKRel<A>, s: &MKRel<A>) -> Resul
         .map(|p| p.as_str())
         .zip(attr_refs.iter().copied().chain([B_ATTR]))
         .collect();
-    let j = ops::join_on(&g2, &r_bot, &on)?;
-    ops::project(&j, &attr_refs)
+    let j = ops::join_on(&g2, &r_bot, &on, &serial)?;
+    ops::project(&j, &attr_refs, &serial)
 }
 
 /// Executable difference laws for the §5.2 comparison matrix
@@ -162,16 +169,17 @@ pub mod laws {
         b: &MKRel<A>,
         c: &MKRel<A>,
     ) -> Result<bool> {
+        let union = |x, y| ops::union(x, y, &ExecOptions::serial());
         let (lhs, rhs) = match law {
-            DiffLaw::MinusUnionSelf => (difference(a, &ops::union(b, b)?)?, difference(a, b)?),
-            DiffLaw::UnionMinus => (difference(&ops::union(a, b)?, b)?, a.clone()),
+            DiffLaw::MinusUnionSelf => (difference(a, &union(b, b)?)?, difference(a, b)?),
+            DiffLaw::UnionMinus => (difference(&union(a, b)?, b)?, a.clone()),
             DiffLaw::MinusMinus => (
                 difference(a, &difference(b, c)?)?,
-                difference(&ops::union(a, c)?, b)?,
+                difference(&union(a, c)?, b)?,
             ),
             DiffLaw::MinusMinusUnion => (
                 difference(&difference(a, b)?, c)?,
-                difference(a, &ops::union(b, c)?)?,
+                difference(a, &union(b, c)?)?,
             ),
         };
         Ok(lhs == rhs)

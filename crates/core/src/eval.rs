@@ -164,6 +164,7 @@ pub fn read_off_set(rel: &MKRel<Bool>) -> Result<BagRel> {
 mod tests {
     use super::*;
     use crate::ops::{group_by, AggSpec};
+    use crate::par::ExecOptions;
     use aggprov_algebra::monoid::MonoidKind;
     use aggprov_algebra::poly::NatPoly;
     use aggprov_krel::schema::Schema;
@@ -184,7 +185,13 @@ mod tests {
             ],
         )
         .unwrap();
-        group_by(&rel, &["dept"], &[AggSpec::new(MonoidKind::Sum, "sal")]).unwrap()
+        group_by(
+            &rel,
+            &["dept"],
+            &[AggSpec::new(MonoidKind::Sum, "sal")],
+            &ExecOptions::serial(),
+        )
+        .unwrap()
     }
 
     #[test]

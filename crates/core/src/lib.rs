@@ -19,7 +19,7 @@
 //!   join, so pipelines over ground data run columnar end to end;
 //! * [`par`] — partition-parallel execution: [`par::ExecOptions`]
 //!   (`AGGPROV_THREADS`), shard planning and the scoped thread fan-out the
-//!   `ops::*_opts` operator variants run on;
+//!   threaded `ops` operators run on;
 //! * [`specops`] — the literal §4.3 specification operators, retained as
 //!   the reference path the physical layer is property-tested against;
 //! * [`eval`] — `h_Rel`, token valuations, collapse and plain read-off;

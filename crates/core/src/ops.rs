@@ -18,14 +18,20 @@
 //! one of those positions):
 //!
 //! * ground × ground work runs classically — hash build/probe for
-//!   [`join_on`]/[`natural_join`], hash-partitioned grouping for
-//!   [`group_by`], an `O(n log n)` additive merge for [`union`] and
-//!   [`project`] — because between constants every §4.3 equality token is
-//!   `0` or `1` and structural equality decides it;
+//!   [`join_on`]/[`natural_join`], hash buckets per output key for
+//!   [`union`], [`project`] and [`group_by`] — because between constants
+//!   every §4.3 equality token is `0` or `1` and structural equality
+//!   decides it;
 //! * the quadratic token construction runs only over the (typically tiny)
 //!   symbolic fraction and its cross terms against the ground partition,
 //!   then the two partitions recombine per the paper's
 //!   sum-of-weighted-contributions rule.
+//!
+//! Union, projection and grouping share that rule exactly — an output
+//! key's annotation sums every entry weighted by the equality token on the
+//! key — so one private keyed-merge kernel implements it for all three;
+//! each operator only chooses the key and how a key's contributions become
+//! an output row.
 //!
 //! The results are bit-identical to the literal §4.3 evaluation, which is
 //! retained in [`crate::specops`] as the reference path (property-tested
@@ -44,12 +50,13 @@
 //! ## Partition-parallel execution
 //!
 //! The same key hashing that drives the ground/symbolic split is the seam
-//! for multi-threaded execution: the `*_opts` variants of [`join_on`],
-//! [`group_by`], [`union`] and [`project`] shard the ground partition by
-//! operator key across scoped worker threads (see [`crate::par`]) and fold
-//! the per-shard results in deterministic shard order, while the symbolic
-//! fringe stays on the sequential token path. Results are bit-identical at
-//! every thread count (see `tests/par_determinism_proptests.rs`).
+//! for multi-threaded execution: [`join_on`], [`group_by`], [`union`] and
+//! [`project`] take a required [`ExecOptions`] ([`ExecOptions::serial`]
+//! for one thread), shard the ground partition by operator key across
+//! scoped worker threads (see [`crate::par`]) and fold the per-shard
+//! results in deterministic shard order, while the symbolic fringe stays
+//! on the sequential token path. Results are bit-identical at every thread
+//! count (see `tests/par_determinism_proptests.rs`).
 //!
 //! ## Output construction and duplicate groups
 //!
@@ -73,15 +80,10 @@ use aggprov_algebra::tensor::Tensor;
 use aggprov_krel::error::{RelError, Result};
 use aggprov_krel::relation::{shard_index, Relation, Tuple};
 use aggprov_krel::schema::Schema;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// An `(M, K)`-relation: tuples of [`Value`]s annotated with `A`.
 pub type MKRel<A> = Relation<A, Value<A>>;
-
-/// One shard of key-projected entries: (projected key, borrowed
-/// annotation). The key is owned (projection allocates once, up front);
-/// cloning it later is an `Arc` bump.
-type KeyedShard<'a, A> = Vec<(Tuple<Value<A>>, &'a A)>;
 
 /// One aggregation request: `kind(attr) AS out`.
 #[derive(Clone, Copy, Debug)]
@@ -159,13 +161,9 @@ pub fn annotation_at<A: AggAnnotation>(rel: &MKRel<A>, t: &Tuple<Value<A>>) -> R
     let positions: Vec<usize> = (0..rel.schema().arity()).collect();
     let mut parts = Vec::new();
     for (t2, k2) in rel.iter() {
-        let tok = tuple_eq_token(t2, t, &positions)?;
-        let part = k2.times(&tok);
-        if !part.is_zero() {
-            parts.push(part);
-        }
+        push_weighted(t2, [(t2, k2)], t, &positions, &mut parts)?;
     }
-    Ok(sum_many(parts))
+    Ok(sum_many(parts.into_iter().map(|(_, w)| w).collect()))
 }
 
 /// Sums many annotations by pairwise tree reduction: summing n tokens of
@@ -237,28 +235,138 @@ pub(crate) fn tuple_eq_token<A: AggAnnotation>(
 }
 
 // ---------------------------------------------------------------------------
-// Union and projection (§4.3 items 2–3)
+// The §4.3 keyed merge: union, projection and grouping membership
 // ---------------------------------------------------------------------------
 
-/// Union. With symbolic values, every output tuple sums contributions from
-/// *all* input tuples weighted by equality tokens. Single-threaded; see
-/// [`union_opts`] for the partition-parallel form.
-pub fn union<A: AggAnnotation>(r1: &MKRel<A>, r2: &MKRel<A>) -> Result<MKRel<A>> {
-    union_opts(r1, r2, &ExecOptions::serial())
+/// One input entry of [`keyed_merge`]: (output key, source tuple, annotation).
+type Keyed<'a, A> = (Tuple<Value<A>>, &'a Tuple<Value<A>>, &'a A);
+
+/// A source tuple that joins an output key with token `1`.
+type Member<'a, A> = (&'a Tuple<Value<A>>, &'a A);
+
+/// A source tuple with its token-weighted annotation.
+type Weighted<'a, A> = (&'a Tuple<Value<A>>, A);
+
+/// An output row of [`keyed_merge`] with its annotation.
+type Row<A> = (Tuple<Value<A>>, A);
+
+/// Pushes `k · Π_u [key(u) = target(u)]` for each `(t, k)` of `members`,
+/// all of which carry `key`: the token depends only on the key, so it is
+/// built once for the whole group. Zero weights are dropped.
+fn push_weighted<'a, A: AggAnnotation>(
+    key: &Tuple<Value<A>>,
+    members: impl IntoIterator<Item = Member<'a, A>>,
+    target: &Tuple<Value<A>>,
+    all: &[usize],
+    out: &mut Vec<Weighted<'a, A>>,
+) -> Result<()> {
+    let tok = tuple_eq_token(key, target, all)?;
+    if tok.is_zero() {
+        return Ok(());
+    }
+    for (t, k) in members {
+        let w = k.times(&tok);
+        if !w.is_zero() {
+            out.push((t, w));
+        }
+    }
+    Ok(())
 }
 
-/// [`union`] with explicit [`ExecOptions`].
+/// The §4.3 keyed merge behind [`union`], [`project`] and [`group_by`]:
+/// each output key's annotation sums the contributions of *all* entries,
+/// each weighted by the equality token between its key and the output key.
 ///
-/// Physical plan: fully ground tuples take an `O(n log n)` additive merge
-/// (between constants the §4.3 tokens are structural `0`/`1`); the
-/// quadratic token construction runs only over the symbolic fraction and
-/// its cross terms against the merged ground partition. With more than one
-/// thread, the ground partition is sharded by tuple hash across scoped
-/// worker threads — the per-shard merges (and the ground side of the cross
-/// terms) run concurrently, per-shard outputs fold in shard order, and the
-/// symbolic output keys stay on the sequential token path. The result is
-/// identical at every thread count.
-pub fn union_opts<A: AggAnnotation>(
+/// Entries with a ground key gather in hash buckets per key (between
+/// constants the token is structural equality), sharded by key hash
+/// across scoped workers; every bucket also takes the token-weighted
+/// contributions of the symbolic-keyed entries. Each distinct symbolic
+/// key is then a candidate output key on the sequential path, weighted
+/// against every ground bucket (one token per bucket, not per member) and
+/// every symbolic entry. `finish` turns a key, its token-`1` members and
+/// its weighted contributions into the output row and annotation. Shard
+/// results fold in shard order, so the output is identical at every thread
+/// count.
+fn keyed_merge<'a, A, F>(
+    schema: Schema,
+    entries: impl Iterator<Item = Keyed<'a, A>>,
+    opts: &ExecOptions,
+    finish: F,
+) -> Result<MKRel<A>>
+where
+    A: AggAnnotation + 'a,
+    F: Fn(&Tuple<Value<A>>, &[Member<'a, A>], Vec<Weighted<'a, A>>) -> Result<Row<A>> + Sync,
+{
+    let (ground, sym): (Vec<_>, Vec<_>) =
+        entries.partition(|(key, _, _)| !key.values().iter().any(Value::is_agg));
+    let all: Vec<usize> = (0..sym.first().map_or(0, |(key, _, _)| key.arity())).collect();
+    let nshards = plan_shards(opts, ground.len());
+    let shards = split_by(ground, nshards, |(key, _, _)| shard_index(key, nshards));
+    let (sym_ref, all_ref, finish_ref) = (&sym, &all, &finish);
+    let shard_results = fan_out(shards, move |entries| {
+        let mut buckets: HashMap<Tuple<Value<A>>, Vec<Member<'a, A>>> = HashMap::new();
+        for (key, t, k) in entries {
+            buckets.entry(key).or_default().push((t, k));
+        }
+        let mut rows = Vec::with_capacity(buckets.len());
+        for (g, members) in &buckets {
+            // A ground key can equal a symbolic one under a valuation, so
+            // §4.3 parity needs these cross terms.
+            let mut weighted = Vec::new();
+            for (key, t, k) in sym_ref {
+                push_weighted(key, [(*t, *k)], g, all_ref, &mut weighted)?;
+            }
+            rows.push(finish_ref(g, members, weighted)?);
+        }
+        Ok((rows, buckets))
+    })?;
+    let mut out = BTreeMap::new();
+    let mut buckets = Vec::with_capacity(shard_results.len());
+    for (rows, shard_buckets) in shard_results {
+        for (t, k) in rows {
+            insert_distinct(&mut out, t, k);
+        }
+        buckets.push(shard_buckets);
+    }
+    let mut seen = BTreeSet::new();
+    for (p, _, _) in &sym {
+        if !seen.insert(p) {
+            continue;
+        }
+        let mut weighted = Vec::new();
+        for (g, members) in buckets.iter().flatten() {
+            push_weighted(g, members.iter().copied(), p, &all, &mut weighted)?;
+        }
+        for (key, t, k) in &sym {
+            push_weighted(key, [(*t, *k)], p, &all, &mut weighted)?;
+        }
+        let (row, ann) = finish(p, &[], weighted)?;
+        insert_distinct(&mut out, row, ann);
+    }
+    from_map(schema, out)
+}
+
+/// The [`keyed_merge`] finish of union and projection: the key itself,
+/// annotated with the sum of all its contributions.
+fn sum_contributions<'a, A: AggAnnotation>(
+    key: &Tuple<Value<A>>,
+    members: &[Member<'a, A>],
+    weighted: Vec<Weighted<'a, A>>,
+) -> Result<Row<A>> {
+    let parts = members
+        .iter()
+        .map(|(_, k)| (*k).clone())
+        .chain(weighted.into_iter().map(|(_, w)| w))
+        .collect();
+    Ok((key.clone(), sum_many(parts)))
+}
+
+/// Union (§4.3 item 2). With symbolic values, every output tuple sums
+/// contributions from *all* input tuples weighted by equality tokens.
+///
+/// Fully ground inputs on one shard take krel's additive merge; otherwise
+/// the §4.3 keyed merge runs over `r1 ⊎ r2` keyed by the whole tuple.
+pub fn union<A: AggAnnotation>(
     r1: &MKRel<A>,
     r2: &MKRel<A>,
     opts: &ExecOptions,
@@ -270,265 +378,35 @@ pub fn union_opts<A: AggAnnotation>(
             op: "union",
         });
     }
-    if !has_symbolic(r1) && !has_symbolic(r2) {
-        let nshards = plan_shards(opts, r1.len() + r2.len());
-        if nshards == 1 {
-            return r1.union(r2);
-        }
-        // Sharded additive merge over both supports' shard views: a tuple
-        // lands in the same shard on either side (the split keys on the
-        // whole tuple), so pairing the views and keeping `r1`'s entries
-        // first reproduces the serial per-key accumulation order exactly.
-        // The key closure clones the tuple — an `Arc` bump, not a deep copy.
-        let shards1 = r1.shard_views(nshards, Tuple::clone);
-        let shards2 = r2.shard_views(nshards, Tuple::clone);
-        let pairs: Vec<_> = shards1.into_iter().zip(shards2).collect();
-        let maps = fan_out(pairs, |(s1, s2)| {
-            let mut m: BTreeMap<&Tuple<Value<A>>, A> = BTreeMap::new();
-            for (t, k) in s1.iter().chain(s2.iter()) {
-                m.entry(t)
-                    .and_modify(|a| *a = a.plus(k))
-                    .or_insert_with(|| k.clone());
-            }
-            Ok(m)
-        })?;
-        let mut out = BTreeMap::new();
-        for m in maps {
-            for (t, k) in m {
-                insert_distinct(&mut out, t.clone(), k);
-            }
-        }
-        return from_map(r1.schema().clone(), out);
+    if plan_shards(opts, r1.len() + r2.len()) == 1 && !has_symbolic(r1) && !has_symbolic(r2) {
+        return r1.union(r2);
     }
-    let all_positions: Vec<usize> = (0..r1.schema().arity()).collect();
-    // Partition: ground tuples merge additively (token 1 exactly on
-    // structural equality); symbolic tuples keep their annotations for the
-    // token-weighted cross sums.
-    let mut ground_entries: Vec<(&Tuple<Value<A>>, &A)> = Vec::new();
-    let mut sym: Vec<(&Tuple<Value<A>>, &A)> = Vec::new();
-    for (t, k) in r1.iter().chain(r2.iter()) {
-        if is_ground_at(t, &all_positions) {
-            ground_entries.push((t, k));
-        } else {
-            sym.push((t, k));
-        }
-    }
-    let nshards = plan_shards(opts, ground_entries.len());
-    let shards = split_by(&ground_entries, nshards, |(t, _)| shard_index(t, nshards));
-    // Ground output keys, per shard: the structural merge plus every
-    // symbolic tuple's token-weighted contribution (a constant row can
-    // equal a symbolic one under a valuation, so the cross terms are
-    // required for §4.3 parity).
-    let sym_ref = &sym;
-    let positions_ref = &all_positions;
-    let shard_results = fan_out(shards, move |entries| {
-        let mut ground: BTreeMap<&Tuple<Value<A>>, A> = BTreeMap::new();
-        for (t, k) in entries {
-            ground
-                .entry(t)
-                .and_modify(|a| *a = a.plus(k))
-                .or_insert_with(|| k.clone());
-        }
-        let mut rows = BTreeMap::new();
-        for (t, base) in &ground {
-            let mut parts = vec![base.clone()];
-            for (s, ks) in sym_ref {
-                let tok = tuple_eq_token(s, t, positions_ref)?;
-                if tok.is_zero() {
-                    continue;
-                }
-                let part = ks.times(&tok);
-                if !part.is_zero() {
-                    parts.push(part);
-                }
-            }
-            insert_distinct(&mut rows, (*t).clone(), sum_many(parts));
-        }
-        Ok((ground, rows))
-    })?;
-    let mut out = BTreeMap::new();
-    let mut ground_shards = Vec::with_capacity(shard_results.len());
-    for (ground, rows) in shard_results {
-        for (t, k) in rows {
-            insert_distinct(&mut out, t, k);
-        }
-        ground_shards.push(ground);
-    }
-    // Symbolic output keys: contributions from every input tuple. The
-    // sequential token path — the symbolic fringe is tiny by construction.
-    for (t, _) in &sym {
-        if out.contains_key(*t) {
-            continue;
-        }
-        let mut parts = Vec::new();
-        for ground in &ground_shards {
-            for (g, kg) in ground {
-                let tok = tuple_eq_token(g, t, &all_positions)?;
-                if tok.is_zero() {
-                    continue;
-                }
-                let part = kg.times(&tok);
-                if !part.is_zero() {
-                    parts.push(part);
-                }
-            }
-        }
-        for (s, ks) in &sym {
-            let tok = tuple_eq_token(s, t, &all_positions)?;
-            if tok.is_zero() {
-                continue;
-            }
-            let part = ks.times(&tok);
-            if !part.is_zero() {
-                parts.push(part);
-            }
-        }
-        insert_distinct(&mut out, (*t).clone(), sum_many(parts));
-    }
-    from_map(r1.schema().clone(), out)
+    let entries = r1.iter().chain(r2.iter()).map(|(t, k)| (t.clone(), t, k));
+    keyed_merge(r1.schema().clone(), entries, opts, sum_contributions)
 }
 
-/// Projection `Π_{U'}`. With symbolic values, annotations sum over all
-/// tuples weighted by tokens on the projected attributes. Single-threaded;
-/// see [`project_opts`] for the partition-parallel form.
-pub fn project<A: AggAnnotation>(rel: &MKRel<A>, attrs: &[&str]) -> Result<MKRel<A>> {
-    project_opts(rel, attrs, &ExecOptions::serial())
-}
-
-/// [`project`] with explicit [`ExecOptions`].
+/// Projection `Π_{U'}` (§4.3 item 3). With symbolic values, annotations
+/// sum over all tuples weighted by tokens on the projected attributes.
 ///
-/// Physical plan: tuples that are ground *at the projected positions* (a
-/// strictly wider fast set than "the whole relation is ground") merge
-/// additively by projected key; the token construction runs only over the
-/// symbolic-at-`U'` fraction and its cross terms. With more than one
-/// thread, the ground partition is sharded by projected-key hash across
-/// scoped worker threads; the symbolic output keys stay on the sequential
-/// token path. The result is identical at every thread count.
-pub fn project_opts<A: AggAnnotation>(
+/// Input ground at the projected positions on one shard takes krel's
+/// additive merge; otherwise the §4.3 keyed merge runs keyed by the
+/// projected tuple.
+pub fn project<A: AggAnnotation>(
     rel: &MKRel<A>,
     attrs: &[&str],
     opts: &ExecOptions,
 ) -> Result<MKRel<A>> {
     let positions = rel.schema().indices_of(attrs)?;
-    let schema = rel.schema().project(attrs)?;
-    let all: Vec<usize> = (0..positions.len()).collect();
-    if rel.iter().all(|(t, _)| is_ground_at(t, &positions)) {
-        let nshards = plan_shards(opts, rel.len());
-        if nshards == 1 {
-            return rel.project(attrs);
-        }
-        // Sharded additive merge by projected key: each tuple is projected
-        // exactly once (the projection allocates; its `Tuple` clone is an
-        // `Arc` bump) and equal keys co-locate, so per-shard merged maps
-        // are disjoint sorted runs.
-        let mut shards: Vec<KeyedShard<'_, A>> = (0..nshards).map(|_| Vec::new()).collect();
-        for (t, k) in rel.iter() {
-            let proj = t.project(&positions);
-            // lint:allow(index, reason = "shard_index is hash % nshards and shards has nshards slots")
-            shards[shard_index(&proj, nshards)].push((proj, k));
-        }
-        let maps = fan_out(shards, |entries| {
-            let mut m: BTreeMap<Tuple<Value<A>>, A> = BTreeMap::new();
-            for (proj, k) in entries {
-                m.entry(proj)
-                    .and_modify(|a| *a = a.plus(k))
-                    .or_insert_with(|| k.clone());
-            }
-            Ok(m)
-        })?;
-        let mut out = BTreeMap::new();
-        for m in maps {
-            for (t, k) in m {
-                insert_distinct(&mut out, t, k);
-            }
-        }
-        return from_map(schema, out);
+    if plan_shards(opts, rel.len()) == 1 && rel.iter().all(|(t, _)| is_ground_at(t, &positions)) {
+        return rel.project(attrs);
     }
-    // Partition by groundness of the projected key (projected once here,
-    // carried through shard assignment and the per-shard merge).
-    let mut ground_entries: KeyedShard<'_, A> = Vec::new();
-    let mut sym: KeyedShard<'_, A> = Vec::new();
-    for (t, k) in rel.iter() {
-        let proj = t.project(&positions);
-        if is_ground_at(&proj, &all) {
-            ground_entries.push((proj, k));
-        } else {
-            sym.push((proj, k));
-        }
-    }
-    let nshards = plan_shards(opts, ground_entries.len());
-    let mut shards: Vec<KeyedShard<'_, A>> = (0..nshards).map(|_| Vec::new()).collect();
-    for (proj, k) in ground_entries {
-        // lint:allow(index, reason = "shard_index is hash % nshards and shards has nshards slots")
-        shards[shard_index(&proj, nshards)].push((proj, k));
-    }
-    let sym_ref = &sym;
-    let all_ref = &all;
-    let shard_results = fan_out(shards, move |entries| {
-        let mut ground: BTreeMap<Tuple<Value<A>>, A> = BTreeMap::new();
-        for (proj, k) in entries {
-            ground
-                .entry(proj)
-                .and_modify(|a| *a = a.plus(k))
-                .or_insert_with(|| k.clone());
-        }
-        let mut rows = BTreeMap::new();
-        for (p, base) in &ground {
-            let mut parts = vec![base.clone()];
-            for (s, ks) in sym_ref {
-                let tok = tuple_eq_token(s, p, all_ref)?;
-                if tok.is_zero() {
-                    continue;
-                }
-                let part = ks.times(&tok);
-                if !part.is_zero() {
-                    parts.push(part);
-                }
-            }
-            insert_distinct(&mut rows, p.clone(), sum_many(parts));
-        }
-        Ok((ground, rows))
-    })?;
-    let mut out = BTreeMap::new();
-    let mut ground_shards = Vec::with_capacity(shard_results.len());
-    for (ground, rows) in shard_results {
-        for (t, k) in rows {
-            insert_distinct(&mut out, t, k);
-        }
-        ground_shards.push(ground);
-    }
-    for (p, _) in &sym {
-        if out.contains_key(p) {
-            continue;
-        }
-        let mut parts = Vec::new();
-        // Token equality depends only on the projected key, so the merged
-        // ground partition contributes per distinct key, not per tuple.
-        for ground in &ground_shards {
-            for (g, kg) in ground {
-                let tok = tuple_eq_token(g, p, &all)?;
-                if tok.is_zero() {
-                    continue;
-                }
-                let part = kg.times(&tok);
-                if !part.is_zero() {
-                    parts.push(part);
-                }
-            }
-        }
-        for (s, ks) in &sym {
-            let tok = tuple_eq_token(s, p, &all)?;
-            if tok.is_zero() {
-                continue;
-            }
-            let part = ks.times(&tok);
-            if !part.is_zero() {
-                parts.push(part);
-            }
-        }
-        insert_distinct(&mut out, p.clone(), sum_many(parts));
-    }
-    from_map(schema, out)
+    let entries = rel.iter().map(|(t, k)| (t.project(&positions), t, k));
+    keyed_merge(
+        rel.schema().project(attrs)?,
+        entries,
+        opts,
+        sum_contributions,
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -634,17 +512,6 @@ pub fn select_where<A: AggAnnotation>(
     from_map(rel.schema().clone(), out)
 }
 
-/// Value-based join on attribute pairs (schemas must be disjoint):
-/// `R₁(t|U₁) · R₂(t|U₂) · Π [t(u₁ᵢ) = t(u₂ᵢ)]`. Single-threaded; see
-/// [`join_on_opts`] for the partition-parallel form.
-pub fn join_on<A: AggAnnotation>(
-    r1: &MKRel<A>,
-    r2: &MKRel<A>,
-    on: &[(&str, &str)],
-) -> Result<MKRel<A>> {
-    join_on_opts(r1, r2, on, &ExecOptions::serial())
-}
-
 /// The ground × ground equi-join block: hash build on the right side,
 /// probe with the left — between constants the §4.3 tokens are exactly the
 /// structural key equality. Shared by the serial path (one call over the
@@ -673,7 +540,8 @@ fn hash_join_ground<A: AggAnnotation>(
     }
 }
 
-/// [`join_on`] with explicit [`ExecOptions`].
+/// Value-based join on attribute pairs (schemas must be disjoint):
+/// `R₁(t|U₁) · R₂(t|U₂) · Π [t(u₁ᵢ) = t(u₂ᵢ)]` (§4.3 item 5).
 ///
 /// Physical plan: each side is partitioned by groundness of its join-key
 /// columns. The ground × ground block runs as a hash build (right) /
@@ -683,7 +551,7 @@ fn hash_join_ground<A: AggAnnotation>(
 /// Pairs with a symbolic key on either side fall back to the sequential
 /// token-weighted nested loop, which therefore costs `O(|G|·|S| + |S|²)`
 /// instead of `O(n²)`. The result is identical at every thread count.
-pub fn join_on_opts<A: AggAnnotation>(
+pub fn join_on<A: AggAnnotation>(
     r1: &MKRel<A>,
     r2: &MKRel<A>,
     on: &[(&str, &str)],
@@ -727,10 +595,10 @@ pub fn join_on_opts<A: AggAnnotation>(
         } else {
             // Both sides sharded by the same key hash: matching keys land
             // in the same shard, so shard outputs are disjoint.
-            let shards1 = split_by(&g1, nshards, |(t, _)| {
+            let shards1 = split_by(g1.iter().copied(), nshards, |(t, _)| {
                 shard_index(&left.iter().map(|i| t.get(*i)).collect::<Vec<_>>(), nshards)
             });
-            let shards2 = split_by(&g2, nshards, |(t, _)| {
+            let shards2 = split_by(g2.iter().copied(), nshards, |(t, _)| {
                 shard_index(
                     &right.iter().map(|j| t.get(*j)).collect::<Vec<_>>(),
                     nshards,
@@ -775,7 +643,7 @@ pub fn join_on_opts<A: AggAnnotation>(
 
 /// Cartesian product (join with no comparisons).
 pub fn product<A: AggAnnotation>(r1: &MKRel<A>, r2: &MKRel<A>) -> Result<MKRel<A>> {
-    join_on(r1, r2, &[])
+    join_on(r1, r2, &[], &ExecOptions::serial())
 }
 
 /// Natural join on the shared attributes. Requires the shared columns to be
@@ -876,180 +744,39 @@ pub(crate) fn group_by_layout<A: AggAnnotation>(
     Ok((gidx, sidx, schema))
 }
 
-/// A symbolic-keyed tuple of [`group_by_opts`]: its projected group key,
-/// the tuple, its annotation.
-type SymEntry<'a, A> = (Tuple<Value<A>>, &'a Tuple<Value<A>>, &'a A);
-
-/// Builds one ground candidate group's output row and annotation: the
-/// bucket's members join with token 1, symbolic-keyed tuples contribute
-/// with a token weight. Shared by the serial and per-shard paths.
-fn ground_group_row<A: AggAnnotation>(
-    g: &Tuple<Value<A>>,
-    members: &[(&Tuple<Value<A>>, &A)],
-    sym: &[SymEntry<'_, A>],
-    specs: &[AggSpec<'_>],
-    sidx: &[usize],
-    all: &[usize],
-) -> Result<(Tuple<Value<A>>, A)> {
-    let mut anns: Vec<A> = Vec::with_capacity(members.len());
-    let mut terms: Vec<Vec<(A, Const)>> = vec![Vec::new(); specs.len()];
-    for (t, k) in members {
-        anns.push((*k).clone());
-        accumulate_specs(t, specs, sidx, &mut terms, k)?;
-    }
-    for (key, t2, k2) in sym {
-        let tok = tuple_eq_token(key, g, all)?;
-        if tok.is_zero() {
-            continue;
-        }
-        let coeff = k2.times(&tok);
-        if coeff.is_zero() {
-            continue;
-        }
-        accumulate_specs(t2, specs, sidx, &mut terms, &coeff)?;
-        anns.push(coeff);
-    }
-    let total = sum_many(anns);
-    let mut row: Vec<Value<A>> = g.values().to_vec();
-    for (spec, ts) in specs.iter().zip(terms) {
-        row.push(Value::agg_normalized(
-            spec.kind,
-            Tensor::from_terms(&spec.kind, ts),
-        ));
-    }
-    Ok((Tuple::new(row), total.delta()))
-}
-
 /// `GB_{U', specs}(R)`: groups by `group_attrs` and aggregates each spec's
 /// attribute. Output schema: `group_attrs ++ [spec.attr, …]`. The group
 /// tuple's annotation is `δ(Σ_{t' ∈ group} coeff(t'))` where with symbolic
 /// group values `coeff(t') = R(t') · Π_{u ∈ U'} [t'(u) = g(u)]`.
-/// Single-threaded; see [`group_by_opts`] for the partition-parallel form.
-pub fn group_by<A: AggAnnotation>(
-    rel: &MKRel<A>,
-    group_attrs: &[&str],
-    specs: &[AggSpec<'_>],
-) -> Result<MKRel<A>> {
-    group_by_opts(rel, group_attrs, specs, &ExecOptions::serial())
-}
-
-/// [`group_by`] with explicit [`ExecOptions`].
 ///
-/// Physical plan: tuples with ground group keys are hash-partitioned into
-/// buckets (between constants the membership token is structural key
-/// equality) — with more than one thread, whole buckets are sharded by
-/// group-key hash, each scoped worker aggregates its buckets (including
-/// the token-weighted contributions of symbolic-keyed tuples), and the
-/// per-shard rows fold in shard order. Tuples with symbolic keys join
-/// every candidate group with a token-weighted coefficient on the
-/// sequential path; tokens against a ground bucket are computed once per
-/// bucket, not once per member. The result is identical at every thread
-/// count.
-pub fn group_by_opts<A: AggAnnotation>(
+/// Physical plan: the §4.3 keyed merge by group key — ground keys
+/// bucket by hash, symbolic keys are token-weighted candidate groups —
+/// whose finish accumulates each spec's tensor from the weighted members
+/// and applies δ to the membership sum.
+pub fn group_by<A: AggAnnotation>(
     rel: &MKRel<A>,
     group_attrs: &[&str],
     specs: &[AggSpec<'_>],
     opts: &ExecOptions,
 ) -> Result<MKRel<A>> {
     let (gidx, sidx, schema) = group_by_layout(rel, group_attrs, specs)?;
-    let all: Vec<usize> = (0..gidx.len()).collect();
-
-    // Partition pass: ground group keys shard by key hash (whole buckets
-    // stay together); symbolic-keyed tuples go to the sequential fringe.
-    // Keyed entries share the `SymEntry` layout: (group key, tuple, ann).
-    type Members<'a, A> = Vec<(&'a Tuple<Value<A>>, &'a A)>;
-    let mut ground: Vec<SymEntry<'_, A>> = Vec::new();
-    let mut sym: Vec<SymEntry<'_, A>> = Vec::new();
-    for (t, k) in rel.iter() {
-        let g = t.project(&gidx);
-        if is_ground_at(&g, &all) {
-            ground.push((g, t, k));
-        } else {
-            sym.push((g, t, k));
-        }
-    }
-    let nshards = plan_shards(opts, ground.len());
-    let mut shards: Vec<Vec<SymEntry<'_, A>>> = (0..nshards).map(|_| Vec::new()).collect();
-    for (g, t, k) in ground {
-        let shard = shard_index(&g, nshards);
-        // lint:allow(index, reason = "shard_index is hash % nshards and shards has nshards slots")
-        shards[shard].push((g, t, k));
-    }
-
-    let sym_ref = &sym;
-    let specs_ref = specs;
-    let sidx_ref = &sidx;
-    let all_ref = &all;
-    let shard_results = fan_out(shards, move |entries| {
-        let mut buckets: HashMap<Tuple<Value<A>>, Members<'_, A>> = HashMap::new();
-        for (g, t, k) in entries {
-            buckets.entry(g).or_default().push((t, k));
-        }
-        let mut rows = BTreeMap::new();
-        for (g, members) in &buckets {
-            let (row, ann) = ground_group_row(g, members, sym_ref, specs_ref, sidx_ref, all_ref)?;
-            insert_distinct(&mut rows, row, ann);
-        }
-        Ok((rows, buckets))
-    })?;
-    let mut out = BTreeMap::new();
-    let mut bucket_shards = Vec::with_capacity(shard_results.len());
-    for (rows, buckets) in shard_results {
-        for (t, k) in rows {
-            insert_distinct(&mut out, t, k);
-        }
-        bucket_shards.push(buckets);
-    }
-    // Symbolic candidate groups: membership of *every* tuple is weighted by
-    // equality tokens (the full §4.3 rule), but the token against a ground
-    // bucket depends only on the bucket key — computed once per bucket.
-    let mut seen: Vec<&Tuple<Value<A>>> = Vec::new();
-    for (p, _, _) in &sym {
-        if seen.contains(&p) {
-            continue;
-        }
-        seen.push(p);
-        let mut anns: Vec<A> = Vec::new();
+    let entries = rel.iter().map(|(t, k)| (t.project(&gidx), t, k));
+    keyed_merge(schema, entries, opts, |g, members, weighted| {
+        let mut anns: Vec<A> = Vec::with_capacity(members.len() + weighted.len());
         let mut terms: Vec<Vec<(A, Const)>> = vec![Vec::new(); specs.len()];
-        for buckets in &bucket_shards {
-            for (g, members) in buckets {
-                let tok = tuple_eq_token(g, p, &all)?;
-                if tok.is_zero() {
-                    continue;
-                }
-                for (t, k) in members {
-                    let coeff = k.times(&tok);
-                    if coeff.is_zero() {
-                        continue;
-                    }
-                    accumulate_specs(t, specs, &sidx, &mut terms, &coeff)?;
-                    anns.push(coeff);
-                }
-            }
+        for (t, k) in members.iter().map(|&(t, k)| (t, k.clone())).chain(weighted) {
+            accumulate_specs(t, specs, &sidx, &mut terms, &k)?;
+            anns.push(k);
         }
-        for (key, t2, k2) in &sym {
-            let tok = tuple_eq_token(key, p, &all)?;
-            if tok.is_zero() {
-                continue;
-            }
-            let coeff = k2.times(&tok);
-            if coeff.is_zero() {
-                continue;
-            }
-            accumulate_specs(t2, specs, &sidx, &mut terms, &coeff)?;
-            anns.push(coeff);
-        }
-        let total = sum_many(anns);
-        let mut row: Vec<Value<A>> = p.values().to_vec();
+        let mut row: Vec<Value<A>> = g.values().to_vec();
         for (spec, ts) in specs.iter().zip(terms) {
             row.push(Value::agg_normalized(
                 spec.kind,
                 Tensor::from_terms(&spec.kind, ts),
             ));
         }
-        insert_distinct(&mut out, Tuple::new(row), total.delta());
-    }
-    from_map(schema, out)
+        Ok((Tuple::new(row), sum_many(anns).delta()))
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1247,6 +974,7 @@ mod tests {
             &example_3_8(),
             &["dept"],
             &[AggSpec::new(MonoidKind::Sum, "sal")],
+            &ExecOptions::serial(),
         )
         .unwrap();
         assert_eq!(out.len(), 2);
@@ -1276,7 +1004,13 @@ mod tests {
             ],
         )
         .unwrap();
-        let out = group_by(&rel, &["dept"], &[AggSpec::new(MonoidKind::Sum, "sal")]).unwrap();
+        let out = group_by(
+            &rel,
+            &["dept"],
+            &[AggSpec::new(MonoidKind::Sum, "sal")],
+            &ExecOptions::serial(),
+        )
+        .unwrap();
         let rows: Vec<(String, String, Nat)> = out
             .iter()
             .map(|(t, k)| (t.get(0).to_string(), t.get(1).to_string(), *k))
@@ -1297,6 +1031,7 @@ mod tests {
             &example_3_8(),
             &["dept"],
             &[AggSpec::new(MonoidKind::Sum, "sal")],
+            &ExecOptions::serial(),
         )
         .unwrap();
         let selected = select_eq(&grouped, "sal", &Value::int(20)).unwrap();
@@ -1318,7 +1053,7 @@ mod tests {
     fn union_requires_matching_schemas() {
         let r1: MKRel<P> = Relation::empty(sch(&["a"]));
         let r2: MKRel<P> = Relation::empty(sch(&["b"]));
-        assert!(union(&r1, &r2).is_err());
+        assert!(union(&r1, &r2, &ExecOptions::serial()).is_err());
     }
 
     #[test]
@@ -1336,7 +1071,7 @@ mod tests {
         );
         let r1: MKRel<P> = Relation::from_rows(sch(&["v"]), [(vec![t1], tok("a"))]).unwrap();
         let r2: MKRel<P> = Relation::from_rows(sch(&["v"]), [(vec![t2], tok("b"))]).unwrap();
-        let u = union(&r1, &r2).unwrap();
+        let u = union(&r1, &r2, &ExecOptions::serial()).unwrap();
         assert_eq!(u.len(), 2);
         for (_, k) in u.iter() {
             let s = k.to_string();
@@ -1359,13 +1094,14 @@ mod tests {
             &example_3_8(),
             &["dept"],
             &[AggSpec::new(MonoidKind::Sum, "sal")],
+            &ExecOptions::serial(),
         )
         .unwrap();
         let g2 = {
             let r = g.rename("dept", "dept2").unwrap();
             r.rename("sal", "sal2").unwrap()
         };
-        let j = join_on(&g, &g2, &[("sal", "sal2")]).unwrap();
+        let j = join_on(&g, &g2, &[("sal", "sal2")], &ExecOptions::serial()).unwrap();
         // 2×2 candidate pairs, all kept symbolically (d1⋈d1 and d2⋈d2 have
         // syntactically equal sides → token 1).
         assert_eq!(j.len(), 4);
@@ -1391,6 +1127,7 @@ mod tests {
             &example_3_8(),
             &["sal"],
             &[AggSpec::new(MonoidKind::Sum, "sal")],
+            &ExecOptions::serial(),
         )
         .is_err());
     }

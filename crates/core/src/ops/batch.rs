@@ -22,7 +22,8 @@
 //! shard the selection across the `par::fan_out` workers in
 //! contiguous ranges — bit-identical to the serial loop, including which
 //! row raises a type error first. Boxed columns keep the `Const` row
-//! loop below as their (and the `AGGPROV_TYPED=0` baseline's) path.
+//! loop below as their (and the `ExecOptions::with_typed(false)`
+//! baseline's) path.
 //!
 //! Division of labour with the row-at-a-time operators of [`crate::ops`]:
 //!
@@ -33,7 +34,7 @@
 //! * **projection**, **join**, **aggregation** and **set operations** sum
 //!   token-weighted contributions *across* rows when symbolic values are
 //!   present, so their batch kernels require an empty fringe — the
-//!   engine's driver falls back to the `ops::*_opts` operators (and their
+//!   engine's driver falls back to the `ops` operators (and their
 //!   partition-parallel ground/symbolic machinery) whenever a fringe
 //!   exists, keeping results bit-identical to [`crate::specops`].
 //!
@@ -92,8 +93,8 @@ pub struct Chunk<A: AggAnnotation> {
     sel: Option<Vec<u32>>,
     fringe: Vec<(Tuple<Value<A>>, A)>,
     /// True iff this chunk was built under a forced-boxed layout
-    /// (`AGGPROV_TYPED=0`): columns it appends stay boxed too, so the
-    /// baseline never silently re-enters a typed path.
+    /// (`ExecOptions::with_typed(false)`): columns it appends stay boxed
+    /// too, so the baseline never silently re-enters a typed path.
     boxed: bool,
 }
 
@@ -393,7 +394,7 @@ impl<A: AggAnnotation> Chunk<A> {
     /// them additively — for ground data exactly the §4.3 projection.
     /// Requires an empty fringe — symbolic projection sums token-weighted
     /// contributions across rows and must go through
-    /// [`crate::ops::project_opts`].
+    /// [`crate::ops::project`].
     pub fn project(self, columns: &[usize], schema: Schema) -> Result<Chunk<A>> {
         self.require_all_ground("batch projection")?;
         if schema.arity() != columns.len() {
@@ -561,7 +562,7 @@ fn key_consts(col: &TypedColumn) -> Cow<'_, [Const]> {
 /// chunk whose columns are the left's followed by the right's, annotated
 /// with the semiring product. Both chunks must be fringe-free (a symbolic
 /// join key needs the token-weighted nested loop of
-/// [`crate::ops::join_on_opts`]); between constants the §4.3 key tokens
+/// [`crate::ops::join_on`]); between constants the §4.3 key tokens
 /// are exactly structural equality, so this is the classical join. An
 /// empty `on` degenerates to the cartesian product.
 ///
@@ -835,7 +836,7 @@ mod tests {
         let p = c.project(&[0], sch(&["a"])).unwrap();
         assert_eq!(p.ground_len(), 2, "merge deferred to materialization");
         let got = p.into_relation().unwrap();
-        let want = ops::project(&rel, &["a"]).unwrap();
+        let want = ops::project(&rel, &["a"], &serial()).unwrap();
         assert_eq!(got, want);
     }
 
@@ -858,7 +859,7 @@ mod tests {
         )
         .unwrap();
         let schema = sch(&["a", "b", "c", "d"]);
-        let want = ops::join_on(&r, &s, &[("a", "c")]).unwrap();
+        let want = ops::join_on(&r, &s, &[("a", "c")], &serial()).unwrap();
         for layout in [ColumnLayout::typed(), ColumnLayout::boxed()] {
             let j = hash_join(
                 Chunk::from_relation_with(&r, &layout),
@@ -928,7 +929,10 @@ mod tests {
         .into_relation()
         .unwrap();
         assert_eq!(typed, boxed);
-        assert_eq!(typed, ops::join_on(&r, &s, &[("k", "k2")]).unwrap());
+        assert_eq!(
+            typed,
+            ops::join_on(&r, &s, &[("k", "k2")], &serial()).unwrap()
+        );
     }
 
     #[test]

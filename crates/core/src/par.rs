@@ -16,24 +16,18 @@
 //! `tests/par_determinism_proptests.rs`).
 //!
 //! Thread count comes from [`ExecOptions`]: explicitly
-//! ([`ExecOptions::with_threads`]), from the `AGGPROV_THREADS` environment
-//! variable ([`ExecOptions::from_env`], the engine's default), or the
-//! machine's available parallelism. An unparseable `AGGPROV_THREADS` is a
-//! loud [`RelError::InvalidEnv`] naming the variable and the bad value —
-//! never a silent fallback to serial execution.
+//! ([`ExecOptions::with_threads`], [`ExecOptions::serial`]), from the
+//! `AGGPROV_THREADS` environment variable ([`ExecOptions::from_env`], the
+//! engine's default), or the machine's available parallelism. An
+//! unparseable `AGGPROV_THREADS` is a loud [`RelError::InvalidEnv`] naming
+//! the variable and the bad value — never a silent fallback to serial
+//! execution.
 
 use aggprov_krel::error::{RelError, Result};
 pub use aggprov_krel::relation::shard_index;
 
 /// The environment variable overriding the executor thread count.
 pub const THREADS_ENV: &str = "AGGPROV_THREADS";
-
-/// The environment variable toggling typed columnar kernels:
-/// `AGGPROV_TYPED=0` forces every chunk onto boxed `Vec<Const>` columns
-/// (the baseline the typed paths are benchmarked and property-tested
-/// against); `AGGPROV_TYPED=1` (the default) lets columns specialize to
-/// unboxed `i64` runs and dictionary-encoded strings.
-pub const TYPED_ENV: &str = "AGGPROV_TYPED";
 
 /// Execution options for the physical operators: how many worker threads
 /// an operator may shard its ground partition across.
@@ -48,8 +42,7 @@ pub struct ExecOptions {
 }
 
 impl ExecOptions {
-    /// Single-threaded execution (the PR 2 behaviour; also what the plain
-    /// `ops::join_on`-style wrappers use).
+    /// Single-threaded execution: no shard planning, no spawns.
     pub fn serial() -> Self {
         ExecOptions {
             threads: 1,
@@ -75,48 +68,26 @@ impl ExecOptions {
     }
 
     /// The engine default: `AGGPROV_THREADS` when set, otherwise the
-    /// machine's available parallelism; typed columnar kernels unless
-    /// `AGGPROV_TYPED=0`.
+    /// machine's available parallelism, with typed columnar kernels.
     ///
-    /// A set-but-unusable value (not a positive integer thread count, not
-    /// a `0`/`1` typed toggle) is a loud [`RelError::InvalidEnv`] —
-    /// `AGGPROV_THREADS=fast` must fail the query, not silently
-    /// serialize it.
+    /// A set-but-unusable value (not a positive integer thread count) is a
+    /// loud [`RelError::InvalidEnv`] — `AGGPROV_THREADS=fast` must fail
+    /// the query, not silently serialize it.
     pub fn from_env() -> Result<Self> {
-        let base = match std::env::var(THREADS_ENV) {
-            Err(std::env::VarError::NotPresent) => Self::available(),
-            Err(std::env::VarError::NotUnicode(raw)) => {
-                return Err(RelError::InvalidEnv {
-                    var: THREADS_ENV,
-                    value: raw.to_string_lossy().into_owned(),
-                    expected: "a positive integer thread count",
-                })
-            }
-            Ok(s) => match s.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => Self::with_threads(n),
-                _ => {
-                    return Err(RelError::InvalidEnv {
-                        var: THREADS_ENV,
-                        value: s,
-                        expected: "a positive integer thread count",
-                    })
-                }
-            },
-        };
-        match std::env::var(TYPED_ENV) {
-            Err(std::env::VarError::NotPresent) => Ok(base),
+        const EXPECTED: &str = "a positive integer thread count";
+        match std::env::var(THREADS_ENV) {
+            Err(std::env::VarError::NotPresent) => Ok(Self::available()),
             Err(std::env::VarError::NotUnicode(raw)) => Err(RelError::InvalidEnv {
-                var: TYPED_ENV,
+                var: THREADS_ENV,
                 value: raw.to_string_lossy().into_owned(),
-                expected: "0 (boxed columns) or 1 (typed columns)",
+                expected: EXPECTED,
             }),
-            Ok(s) => match s.trim() {
-                "0" => Ok(base.with_typed(false)),
-                "1" => Ok(base.with_typed(true)),
+            Ok(s) => match s.trim().parse::<usize>() {
+                Ok(n) if n >= 1 => Ok(Self::with_threads(n)),
                 _ => Err(RelError::InvalidEnv {
-                    var: TYPED_ENV,
+                    var: THREADS_ENV,
                     value: s,
-                    expected: "0 (boxed columns) or 1 (typed columns)",
+                    expected: EXPECTED,
                 }),
             },
         }
@@ -161,20 +132,23 @@ pub(crate) fn plan_shards(opts: &ExecOptions, items: usize) -> usize {
     opts.threads().min(items).max(1)
 }
 
-/// Splits borrowed entries into `n` shards, preserving input order within
-/// each shard (the property the deterministic merges rely on). The caller
+/// Splits entries into `n` shards, preserving input order within each
+/// shard (the property the deterministic merges rely on). The caller
 /// supplies the shard index directly — typically `shard_index(key, n)`,
-/// computed exactly once per entry; entries with equal keys must map to
-/// the same index.
-pub(crate) fn split_by<T: Copy>(
-    entries: &[T],
+/// computed exactly once per entry (never for `n = 1`); entries with
+/// equal keys must map to the same index.
+pub(crate) fn split_by<T>(
+    entries: impl IntoIterator<Item = T>,
     n: usize,
     shard_of: impl Fn(&T) -> usize,
 ) -> Vec<Vec<T>> {
-    let mut shards: Vec<Vec<T>> = (0..n.max(1)).map(|_| Vec::new()).collect();
+    if n <= 1 {
+        return vec![entries.into_iter().collect()];
+    }
+    let mut shards: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
     for e in entries {
         // lint:allow(index, reason = "shard_of returns hash % n, always < shards.len()")
-        shards[shard_of(e)].push(*e);
+        shards[shard_of(&e)].push(e);
     }
     shards
 }
@@ -241,7 +215,7 @@ mod tests {
     #[test]
     fn split_preserves_order_and_key_locality() {
         let entries: Vec<u32> = (0..100).collect();
-        let shards = split_by(&entries, 4, |e| shard_index(&(*e % 10), 4));
+        let shards = split_by(entries.iter().copied(), 4, |e| shard_index(&(*e % 10), 4));
         assert_eq!(shards.iter().map(Vec::len).sum::<usize>(), 100);
         for shard in &shards {
             assert!(shard.windows(2).all(|w| w[0] < w[1]), "order preserved");

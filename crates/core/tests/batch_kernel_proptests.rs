@@ -9,7 +9,7 @@
 //! operator. The cross-row kernels (project, hash join, and the full
 //! filter→project→join pipeline) are checked over fully ground relations,
 //! which is exactly the regime the engine dispatches them in (a symbolic
-//! fringe sends those nodes to `ops::*_opts`). Empty-batch and
+//! fringe sends those nodes to the `ops` operators). Empty-batch and
 //! all-symbolic edge cases get dedicated tests for every kernel.
 
 use aggprov_algebra::domain::Const;

@@ -17,6 +17,7 @@ use aggprov_algebra::poly::NatPoly;
 use aggprov_algebra::tensor::Tensor;
 use aggprov_core::km::Km;
 use aggprov_core::ops::{self, AggSpec, MKRel};
+use aggprov_core::par::ExecOptions;
 use aggprov_core::{specops, Value};
 use aggprov_krel::relation::Relation;
 use aggprov_krel::schema::Schema;
@@ -148,7 +149,7 @@ proptest! {
         let state = fold_ops(&batches);
         let collapsed = ops::delta_collapse(&state).unwrap();
         let full = full_rel(&batches);
-        let scratch = ops::group_by(&full, &["g"], &SPECS).unwrap();
+        let scratch = ops::group_by(&full, &["g"], &SPECS, &ExecOptions::serial()).unwrap();
         let literal = specops::group_by(&full, &["g"], &SPECS).unwrap();
         prop_assert_eq!(collapsed.clone(), scratch);
         prop_assert_eq!(collapsed.clone(), literal);

@@ -6,13 +6,13 @@
 //!
 //! Audit of the remaining `is_ground_at` gates in `core/src/ops.rs`:
 //!
-//! * **`union_opts` partition** (the `is_ground_at` split over all
-//!   positions): ground output keys explicitly add every symbolic
-//!   tuple's token-weighted contribution (`sym_ref` loop inside the
-//!   shard closure), and symbolic output keys sum over both partitions —
+//! * **`union`** (the keyed-merge groundness split over all positions):
+//!   ground output keys explicitly add every symbolic tuple's
+//!   token-weighted contribution (the `sym_ref` loop inside the shard
+//!   closure), and symbolic output keys sum over both partitions —
 //!   two-sided by construction. The top-level structural merge only
 //!   fires when **both** inputs pass `has_symbolic = false`.
-//! * **`project_opts`** both gates: the all-ground fast path requires
+//! * **`project`** both gates: the all-ground fast path requires
 //!   *every* tuple ground at the projected positions (a strictly wider
 //!   fast set than whole-relation groundness — deliberate, and sound
 //!   because tokens only read the projected columns); the partitioned
@@ -24,11 +24,11 @@
 //!   is exercised one-sidedly here (ground rows against a symbolic
 //!   comparison value and vice versa) against a literal no-shortcut
 //!   oracle.
-//! * **`group_by_opts` partition**: ground buckets fold the
-//!   token-weighted contributions of symbolic-keyed tuples
-//!   (`ground_group_row`'s `sym` loop); symbolic candidate groups sum
-//!   over every bucket and the symbolic fringe — two-sided.
-//! * **`join_on_opts`**: the hash block only joins ground × ground key
+//! * **`group_by`** (the same keyed merge): ground buckets fold the
+//!   token-weighted contributions of symbolic-keyed tuples; symbolic
+//!   candidate groups sum over every bucket and the symbolic fringe —
+//!   two-sided.
+//! * **`join_on`**: the hash block only joins ground × ground key
 //!   pairs; all three one-or-two-sided symbolic blocks
 //!   (`g×s`, `s×g`, `s×s`) run the token nested loop.
 //!
@@ -106,7 +106,7 @@ fn arb_sym_rel(prefix: &'static str) -> impl Strategy<Value = MKRel<P>> {
     })
 }
 
-/// Both thread counts of an `_opts` operator must agree with the oracle.
+/// Both thread counts of a threaded operator must agree with the oracle.
 fn both_threads<F>(f: F) -> (MKRel<P>, MKRel<P>)
 where
     F: Fn(&ExecOptions) -> MKRel<P>,
@@ -140,12 +140,12 @@ proptest! {
         // Ground ∪ symbolic, both orders: the ground partition's merge
         // must still pick up every cross term against the symbolic side.
         let want_gs = specops::union(&g, &s).unwrap();
-        let (t1, t4) = both_threads(|o| ops::union_opts(&g, &s, o).unwrap());
+        let (t1, t4) = both_threads(|o| ops::union(&g, &s, o).unwrap());
         prop_assert_eq!(&t1, &want_gs);
         prop_assert_eq!(&t4, &want_gs);
 
         let want_sg = specops::union(&s, &g).unwrap();
-        let (t1, t4) = both_threads(|o| ops::union_opts(&s, &g, o).unwrap());
+        let (t1, t4) = both_threads(|o| ops::union(&s, &g, o).unwrap());
         prop_assert_eq!(&t1, &want_sg);
         prop_assert_eq!(&t4, &want_sg);
     }
@@ -161,12 +161,12 @@ proptest! {
         // specialized inputs — support always; annotations whenever
         // specialization does not merge distinct input tuples (the
         // collision caveat of h_Rel's first-copy convention).
-        let sym_union = ops::union(&g, &s).unwrap();
+        let sym_union = ops::union(&g, &s, &ExecOptions::serial()).unwrap();
         let val = valuation(bits);
         let lhs = collapse(&map_hom_mk(&sym_union, &|p: &NatPoly| val.eval(p))).unwrap();
         let g_res = collapse(&map_hom_mk(&g, &|p: &NatPoly| val.eval(p))).unwrap();
         let s_res = collapse(&map_hom_mk(&s, &|p: &NatPoly| val.eval(p))).unwrap();
-        let rhs = ops::union(&g_res, &s_res).unwrap();
+        let rhs = ops::union(&g_res, &s_res, &ExecOptions::serial()).unwrap();
         let support = |rel: &MKRel<Nat>| -> Vec<_> {
             rel.iter().map(|(t, _)| t.clone()).collect()
         };
@@ -191,7 +191,7 @@ proptest! {
         // Π_a: some projected keys symbolic, some ground — the
         // partitioned path with cross terms in both directions.
         let want = specops::project(&mixed, &["a"]).unwrap();
-        let (t1, t4) = both_threads(|o| ops::project_opts(&mixed, &["a"], o).unwrap());
+        let (t1, t4) = both_threads(|o| ops::project(&mixed, &["a"], o).unwrap());
         prop_assert_eq!(&t1, &want);
         prop_assert_eq!(&t4, &want);
 
@@ -199,7 +199,7 @@ proptest! {
         // symbolic values — the widened all-ground fast path must agree
         // with the literal rule (tokens only read the projected column).
         let want = specops::project(&mixed, &["b"]).unwrap();
-        let (t1, t4) = both_threads(|o| ops::project_opts(&mixed, &["b"], o).unwrap());
+        let (t1, t4) = both_threads(|o| ops::project(&mixed, &["b"], o).unwrap());
         prop_assert_eq!(&t1, &want);
         prop_assert_eq!(&t4, &want);
     }
@@ -214,12 +214,12 @@ proptest! {
         // Ground keys probe symbolic keys (and vice versa): every pair
         // runs the token loop, nothing may take the hash block.
         let want = specops::join_on(&g, &s, &[("a1", "a2")]).unwrap();
-        let (t1, t4) = both_threads(|o| ops::join_on_opts(&g, &s, &[("a1", "a2")], o).unwrap());
+        let (t1, t4) = both_threads(|o| ops::join_on(&g, &s, &[("a1", "a2")], o).unwrap());
         prop_assert_eq!(&t1, &want);
         prop_assert_eq!(&t4, &want);
 
         let want = specops::join_on(&s, &g, &[("a2", "a1")]).unwrap();
-        let (t1, t4) = both_threads(|o| ops::join_on_opts(&s, &g, &[("a2", "a1")], o).unwrap());
+        let (t1, t4) = both_threads(|o| ops::join_on(&s, &g, &[("a2", "a1")], o).unwrap());
         prop_assert_eq!(&t1, &want);
         prop_assert_eq!(&t4, &want);
     }
@@ -240,7 +240,7 @@ proptest! {
         // membership of the symbolic-keyed rows, and symbolic candidate
         // groups must sum over the ground buckets.
         let want = specops::group_by(&mixed, &["a"], &specs).unwrap();
-        let (t1, t4) = both_threads(|o| ops::group_by_opts(&mixed, &["a"], &specs, o).unwrap());
+        let (t1, t4) = both_threads(|o| ops::group_by(&mixed, &["a"], &specs, o).unwrap());
         prop_assert_eq!(&t1, &want);
         prop_assert_eq!(&t4, &want);
 
@@ -248,7 +248,7 @@ proptest! {
         // at `a`: the bucketing fast path with symbolic payloads.
         let specs = [AggSpec::new(MonoidKind::Sum, "a")];
         let want = specops::group_by(&mixed, &["b"], &specs).unwrap();
-        let (t1, t4) = both_threads(|o| ops::group_by_opts(&mixed, &["b"], &specs, o).unwrap());
+        let (t1, t4) = both_threads(|o| ops::group_by(&mixed, &["b"], &specs, o).unwrap());
         prop_assert_eq!(&t1, &want);
         prop_assert_eq!(&t4, &want);
     }

@@ -15,6 +15,7 @@ use aggprov_algebra::poly::NatPoly;
 use aggprov_algebra::tensor::Tensor;
 use aggprov_core::km::Km;
 use aggprov_core::ops::{self, AggSpec, MKRel};
+use aggprov_core::par::ExecOptions;
 use aggprov_core::{specops, Value};
 use aggprov_krel::relation::Relation;
 use aggprov_krel::schema::Schema;
@@ -107,7 +108,7 @@ proptest! {
 
     #[test]
     fn union_hash_matches_spec(r1 in arb_rel2("a", "a", "b"), r2 in arb_rel2("b", "a", "b")) {
-        let hash = ops::union(&r1, &r2).unwrap();
+        let hash = ops::union(&r1, &r2, &ExecOptions::serial()).unwrap();
         let spec = specops::union(&r1, &r2).unwrap();
         prop_assert_eq!(hash, spec);
     }
@@ -115,19 +116,19 @@ proptest! {
     #[test]
     fn project_hash_matches_spec(rel in arb_rel2("a", "a", "b"), keep_b in prop::bool::ANY) {
         let attrs: Vec<&str> = if keep_b { vec!["b", "a"] } else { vec!["a"] };
-        let hash = ops::project(&rel, &attrs).unwrap();
+        let hash = ops::project(&rel, &attrs, &ExecOptions::serial()).unwrap();
         let spec = specops::project(&rel, &attrs).unwrap();
         prop_assert_eq!(hash, spec);
     }
 
     #[test]
     fn join_on_hash_matches_spec(r1 in arb_rel2("a", "a", "b"), r2 in arb_rel2("b", "c", "d")) {
-        let hash = ops::join_on(&r1, &r2, &[("a", "c")]).unwrap();
+        let hash = ops::join_on(&r1, &r2, &[("a", "c")], &ExecOptions::serial()).unwrap();
         let spec = specops::join_on(&r1, &r2, &[("a", "c")]).unwrap();
         prop_assert_eq!(hash, spec);
 
         // The empty-`on` (cartesian product) shape as well.
-        let hash = ops::join_on(&r1, &r2, &[]).unwrap();
+        let hash = ops::join_on(&r1, &r2, &[], &ExecOptions::serial()).unwrap();
         let spec = specops::join_on(&r1, &r2, &[]).unwrap();
         prop_assert_eq!(hash, spec);
     }
@@ -138,7 +139,7 @@ proptest! {
         r2 in arb_rel2("b", "c", "d"),
     ) {
         let on = [("a", "c"), ("b", "d")];
-        let hash = ops::join_on(&r1, &r2, &on).unwrap();
+        let hash = ops::join_on(&r1, &r2, &on, &ExecOptions::serial()).unwrap();
         let spec = specops::join_on(&r1, &r2, &on).unwrap();
         prop_assert_eq!(hash, spec);
     }
@@ -146,7 +147,7 @@ proptest! {
     #[test]
     fn group_by_hash_matches_spec(rel in arb_group_rel()) {
         let specs = [AggSpec::new(MonoidKind::Sum, "v")];
-        let hash = ops::group_by(&rel, &["g"], &specs).unwrap();
+        let hash = ops::group_by(&rel, &["g"], &specs, &ExecOptions::serial()).unwrap();
         let spec = specops::group_by(&rel, &["g"], &specs).unwrap();
         prop_assert_eq!(hash, spec);
     }

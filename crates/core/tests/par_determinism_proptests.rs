@@ -1,6 +1,6 @@
-//! Parallel determinism: the partition-parallel operator variants
-//! (`ops::*_opts`) must produce relations **bit-identical** to the literal
-//! §4.3 reference path (`specops`) at every thread count.
+//! Parallel determinism: the partition-parallel operators (`ops::*` with
+//! an explicit `ExecOptions`) must produce relations **bit-identical** to
+//! the literal §4.3 reference path (`specops`) at every thread count.
 //!
 //! The generated relations mix ground and symbolic values (as in
 //! `hash_vs_spec_proptests`), and the thread counts deliberately straddle
@@ -119,7 +119,7 @@ proptest! {
     fn union_parallel_matches_spec(r1 in arb_rel2("a", "a", "b"), r2 in arb_rel2("b", "a", "b")) {
         let spec = specops::union(&r1, &r2).unwrap();
         for t in THREADS {
-            let par = ops::union_opts(&r1, &r2, &ExecOptions::with_threads(t)).unwrap();
+            let par = ops::union(&r1, &r2, &ExecOptions::with_threads(t)).unwrap();
             prop_assert_eq!(&par, &spec, "threads = {}", t);
         }
     }
@@ -129,7 +129,7 @@ proptest! {
         let attrs: Vec<&str> = if keep_b { vec!["b", "a"] } else { vec!["a"] };
         let spec = specops::project(&rel, &attrs).unwrap();
         for t in THREADS {
-            let par = ops::project_opts(&rel, &attrs, &ExecOptions::with_threads(t)).unwrap();
+            let par = ops::project(&rel, &attrs, &ExecOptions::with_threads(t)).unwrap();
             prop_assert_eq!(&par, &spec, "threads = {}", t);
         }
     }
@@ -140,9 +140,9 @@ proptest! {
         let spec2 = specops::join_on(&r1, &r2, &[("a", "c"), ("b", "d")]).unwrap();
         for t in THREADS {
             let opts = ExecOptions::with_threads(t);
-            let par = ops::join_on_opts(&r1, &r2, &[("a", "c")], &opts).unwrap();
+            let par = ops::join_on(&r1, &r2, &[("a", "c")], &opts).unwrap();
             prop_assert_eq!(&par, &spec, "threads = {}", t);
-            let par2 = ops::join_on_opts(&r1, &r2, &[("a", "c"), ("b", "d")], &opts).unwrap();
+            let par2 = ops::join_on(&r1, &r2, &[("a", "c"), ("b", "d")], &opts).unwrap();
             prop_assert_eq!(&par2, &spec2, "two-column, threads = {}", t);
         }
     }
@@ -153,7 +153,7 @@ proptest! {
         let spec = specops::group_by(&rel, &["g"], &specs).unwrap();
         for t in THREADS {
             let par =
-                ops::group_by_opts(&rel, &["g"], &specs, &ExecOptions::with_threads(t)).unwrap();
+                ops::group_by(&rel, &["g"], &specs, &ExecOptions::with_threads(t)).unwrap();
             prop_assert_eq!(&par, &spec, "threads = {}", t);
         }
     }
@@ -165,8 +165,8 @@ proptest! {
     ) {
         // threads = 2 vs threads = 8 directly (not just both-equal-spec):
         // the merge order itself must not leak into the result.
-        let two = ops::union_opts(&r1, &r2, &ExecOptions::with_threads(2)).unwrap();
-        let eight = ops::union_opts(&r1, &r2, &ExecOptions::with_threads(8)).unwrap();
+        let two = ops::union(&r1, &r2, &ExecOptions::with_threads(2)).unwrap();
+        let eight = ops::union(&r1, &r2, &ExecOptions::with_threads(8)).unwrap();
         prop_assert_eq!(two, eight);
     }
 }
@@ -181,9 +181,9 @@ fn sch(names: &[&str]) -> Schema {
 fn empty_inputs_at_high_thread_counts() {
     let empty: MKRel<P> = Relation::empty(sch(&["a", "b"]));
     let opts = ExecOptions::with_threads(8);
-    assert!(ops::union_opts(&empty, &empty, &opts).unwrap().is_empty());
-    assert!(ops::project_opts(&empty, &["a"], &opts).unwrap().is_empty());
-    assert!(ops::join_on_opts(
+    assert!(ops::union(&empty, &empty, &opts).unwrap().is_empty());
+    assert!(ops::project(&empty, &["a"], &opts).unwrap().is_empty());
+    assert!(ops::join_on(
         &empty,
         &empty.clone().with_schema(sch(&["c", "d"])).unwrap(),
         &[("a", "c")],
@@ -192,7 +192,7 @@ fn empty_inputs_at_high_thread_counts() {
     .unwrap()
     .is_empty());
     let grouped =
-        ops::group_by_opts(&empty, &["a"], &[AggSpec::new(MonoidKind::Sum, "b")], &opts).unwrap();
+        ops::group_by(&empty, &["a"], &[AggSpec::new(MonoidKind::Sum, "b")], &opts).unwrap();
     assert!(grouped.is_empty());
 }
 
@@ -213,14 +213,14 @@ fn all_symbolic_relations_match_spec_at_every_thread_count() {
     let spec_group = specops::group_by(&r1, &["a"], &gspecs).unwrap();
     for t in THREADS {
         let opts = ExecOptions::with_threads(t);
-        assert_eq!(ops::union_opts(&r1, &r2, &opts).unwrap(), spec_union);
-        assert_eq!(ops::project_opts(&r1, &["a"], &opts).unwrap(), spec_proj);
+        assert_eq!(ops::union(&r1, &r2, &opts).unwrap(), spec_union);
+        assert_eq!(ops::project(&r1, &["a"], &opts).unwrap(), spec_proj);
         assert_eq!(
-            ops::join_on_opts(&r1, &r2j, &[("a", "c")], &opts).unwrap(),
+            ops::join_on(&r1, &r2j, &[("a", "c")], &opts).unwrap(),
             spec_join
         );
         assert_eq!(
-            ops::group_by_opts(&r1, &["a"], &gspecs, &opts).unwrap(),
+            ops::group_by(&r1, &["a"], &gspecs, &opts).unwrap(),
             spec_group
         );
     }
@@ -256,20 +256,20 @@ fn busy_shards_match_serial_hash_path() {
     let serial = ExecOptions::serial();
     let par = ExecOptions::with_threads(8);
     assert_eq!(
-        ops::join_on_opts(&emp, &dim, &[("dept", "dept2")], &par).unwrap(),
-        ops::join_on_opts(&emp, &dim, &[("dept", "dept2")], &serial).unwrap()
+        ops::join_on(&emp, &dim, &[("dept", "dept2")], &par).unwrap(),
+        ops::join_on(&emp, &dim, &[("dept", "dept2")], &serial).unwrap()
     );
     let gspecs = [AggSpec::new(MonoidKind::Sum, "sal")];
     assert_eq!(
-        ops::group_by_opts(&emp, &["dept"], &gspecs, &par).unwrap(),
-        ops::group_by_opts(&emp, &["dept"], &gspecs, &serial).unwrap()
+        ops::group_by(&emp, &["dept"], &gspecs, &par).unwrap(),
+        ops::group_by(&emp, &["dept"], &gspecs, &serial).unwrap()
     );
     assert_eq!(
-        ops::project_opts(&emp, &["dept"], &par).unwrap(),
-        ops::project_opts(&emp, &["dept"], &serial).unwrap()
+        ops::project(&emp, &["dept"], &par).unwrap(),
+        ops::project(&emp, &["dept"], &serial).unwrap()
     );
     assert_eq!(
-        ops::union_opts(&emp, &emp, &par).unwrap(),
-        ops::union_opts(&emp, &emp, &serial).unwrap()
+        ops::union(&emp, &emp, &par).unwrap(),
+        ops::union(&emp, &emp, &serial).unwrap()
     );
 }

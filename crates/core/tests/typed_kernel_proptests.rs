@@ -2,7 +2,7 @@
 //! kernels: `TypedColumn` round-trips (unboxed `i64` runs, dictionary
 //! re-materialization, mixed-type demotion to boxed) must be lossless,
 //! and the typed fast paths must be **bit-identical** to both the forced
-//! boxed baseline (`ColumnLayout::boxed()`, the `AGGPROV_TYPED=0` path)
+//! boxed baseline (`ColumnLayout::boxed()`, the `with_typed(false)` path)
 //! and the row-at-a-time `ops`/`specops` reference — at
 //! `threads ∈ {1, 4}`, so the sharded selection-vector kernels are under
 //! the same oracle as the serial loops.

@@ -17,8 +17,8 @@
 //!   [`ExecOptions`]);
 //! * whenever the symbolic fringe forces cross-row token sums (projection
 //!   or join over symbolic values), the affected node falls back to the
-//!   same `ops::*_opts` operators, so results are bit-identical to the
-//!   `specops` reference at every thread count.
+//!   same `ops` operators with the same [`ExecOptions`], so results are
+//!   bit-identical to the `specops` reference at every thread count.
 
 use crate::annot::ParseAnnotation;
 use crate::ast::{CmpOp, SetOp};
@@ -51,9 +51,9 @@ enum Flow<A: AggAnnotation> {
     Chunk(Chunk<A>),
 }
 
-/// The column layout a chunk conversion should use: forced boxed when
-/// `AGGPROV_TYPED=0`, catalog-hinted when the scan pinned column types at
-/// prepare time, per-column probing otherwise.
+/// The column layout a chunk conversion should use: forced boxed under
+/// `ExecOptions::with_typed(false)`, catalog-hinted when the scan pinned
+/// column types at prepare time, per-column probing otherwise.
 fn layout_for(opts: &ExecOptions, hints: Option<Vec<Option<ColHint>>>) -> ColumnLayout {
     if !opts.typed() {
         ColumnLayout::boxed()
@@ -228,7 +228,7 @@ where
                 .map(|(a, b)| (a.as_str(), b.as_str()))
                 .collect();
             Ok(Flow::Rel(
-                ops::join_on_opts(&l.into_rel()?, &r.into_rel()?, &pairs, opts)?,
+                ops::join_on(&l.into_rel()?, &r.into_rel()?, &pairs, opts)?,
                 None,
             ))
         }
@@ -255,7 +255,7 @@ where
             let grouped = if ungrouped {
                 ops::agg_all(&rel, &specs)?
             } else {
-                ops::group_by_opts(&rel, &group_refs, &specs, opts)?
+                ops::group_by(&rel, &group_refs, &specs, opts)?
             };
             if avg.is_empty() {
                 return Ok(Flow::Rel(grouped, None));
@@ -288,7 +288,7 @@ where
                 .into_rel()?
                 .with_schema(schema.clone())?;
             match op {
-                SetOp::Union => Ok(Flow::Rel(ops::union_opts(&l, &r, opts)?, None)),
+                SetOp::Union => Ok(Flow::Rel(ops::union(&l, &r, opts)?, None)),
                 SetOp::Except => Ok(Flow::Rel(difference::difference(&l, &r)?, None)),
             }
         }
@@ -353,7 +353,7 @@ fn project_symbolic<A: AggAnnotation>(
                 .ok_or_else(|| RelError::Internal(format!("projection position {i} out of range")))
         })
         .collect::<Result<_>>()?;
-    let projected = ops::project_opts(rel, &names, opts)?;
+    let projected = ops::project(rel, &names, opts)?;
     if distinct.len() == expand.len() {
         return projected.with_schema(schema.clone());
     }

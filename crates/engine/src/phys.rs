@@ -15,7 +15,7 @@
 //! materialize a relation (they need the whole input, and their symbolic
 //! semantics sums across rows). Any node whose batch kernel cannot
 //! represent the symbolic fringe falls back to the row-at-a-time
-//! `ops::*_opts` operators, so results are bit-identical to the
+//! `ops` operators, so results are bit-identical to the
 //! `specops` reference either way.
 
 use crate::ast::SetOp;
@@ -100,7 +100,7 @@ pub(crate) enum PhysNode {
         schema: Schema,
     },
     /// Hash equi-join: build right, probe left. Batched when both sides
-    /// are fully ground, token-weighted `ops::join_on_opts` otherwise.
+    /// are fully ground, token-weighted `ops::join_on` otherwise.
     HashJoin {
         /// Left (probe) input.
         left: Box<PhysNode>,

@@ -53,7 +53,7 @@ pub enum ColHint {
 }
 
 /// Construction-time layout for a batch: either force every column boxed
-/// (the `AGGPROV_TYPED=0` debug/baseline mode) or probe per column,
+/// (the `ExecOptions::with_typed(false)` baseline) or probe per column,
 /// optionally seeded with catalog hints.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ColumnLayout {

@@ -18,6 +18,7 @@ use aggprov_core::annotation::AggAnnotation;
 use aggprov_core::difference::difference;
 use aggprov_core::km::CmpPred;
 use aggprov_core::ops::{self, AggSpec, MKRel};
+use aggprov_core::par::ExecOptions;
 use aggprov_core::Value;
 use aggprov_krel::error::Result;
 use aggprov_krel::reference::BagRel;
@@ -164,12 +165,13 @@ pub fn random_plan(rng: &mut StdRng, tables: usize, depth: usize) -> Plan {
 
 /// Evaluates a plan over annotated tables.
 pub fn eval_mk<A: AggAnnotation>(plan: &Plan, tables: &[MKRel<A>]) -> Result<MKRel<A>> {
+    let serial = ExecOptions::serial();
     match plan {
         Plan::Scan(i) => Ok(tables[*i].clone()),
-        Plan::Union(l, r) => ops::union(&eval_mk(l, tables)?, &eval_mk(r, tables)?),
+        Plan::Union(l, r) => ops::union(&eval_mk(l, tables)?, &eval_mk(r, tables)?, &serial),
         Plan::Difference(l, r) => difference(&eval_mk(l, tables)?, &eval_mk(r, tables)?),
         Plan::SelectEq(p, col, c) => ops::select_eq(&eval_mk(p, tables)?, col, &Value::int(*c)),
-        Plan::Project(p) => ops::project(&eval_mk(p, tables)?, &["g", "v"]),
+        Plan::Project(p) => ops::project(&eval_mk(p, tables)?, &["g", "v"], &serial),
         Plan::GroupBy(p, kind) => ops::group_by(
             &eval_mk(p, tables)?,
             &["g"],
@@ -178,6 +180,7 @@ pub fn eval_mk<A: AggAnnotation>(plan: &Plan, tables: &[MKRel<A>]) -> Result<MKR
                 attr: "v",
                 out: AGG_COL,
             }],
+            &serial,
         ),
         Plan::AggAll(p, kind) => ops::agg_all(
             &eval_mk(p, tables)?,

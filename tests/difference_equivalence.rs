@@ -13,6 +13,7 @@ use aggprov::algebra::tensor::Tensor;
 use aggprov::core::difference::{difference, difference_encoded};
 use aggprov::core::eval::{collapse, map_hom_mk};
 use aggprov::core::ops::MKRel;
+use aggprov::core::par::ExecOptions;
 use aggprov::core::{AggAnnotation, Km, Prov, Value};
 use aggprov_krel::relation::Relation;
 use aggprov_krel::schema::Schema;
@@ -137,7 +138,7 @@ fn minus_union_self_holds_symbolically() {
     let mut rng = StdRng::seed_from_u64(17);
     for _ in 0..20 {
         let (a, b, _) = random_pair(&mut rng);
-        let bb = aggprov::core::ops::union(&b, &b).unwrap();
+        let bb = aggprov::core::ops::union(&b, &b, &ExecOptions::serial()).unwrap();
         let lhs = difference(&a, &bb).unwrap();
         let rhs = difference(&a, &b).unwrap();
         assert_eq!(lhs, rhs);
@@ -159,7 +160,11 @@ fn union_minus_fails_symbolically_with_witness() {
         [(vec![Value::int(1)], Km::embed(NatPoly::token("b1")))],
     )
     .unwrap();
-    let lhs = difference(&aggprov::core::ops::union(&a, &b).unwrap(), &b).unwrap();
+    let lhs = difference(
+        &aggprov::core::ops::union(&a, &b, &ExecOptions::serial()).unwrap(),
+        &b,
+    )
+    .unwrap();
     assert_ne!(lhs, a, "the guard [b1⊗⊤ = 0] persists on x = 1");
     // And under b1 ↦ 1 the tuple disappears although A contains it.
     let resolved = collapse(&map_hom_mk(&lhs, &|p: &NatPoly| {

@@ -258,6 +258,7 @@ fn example_3_16_security_bag() {
     .unwrap();
     use aggprov::algebra::monoid::MonoidKind;
     use aggprov::core::ops::{agg, product, project, union, AggSpec};
+    use aggprov::core::par::ExecOptions;
     let r = db.table("r").unwrap().clone();
     let s = db.table("s").unwrap().clone();
     // Π_{S.A}(S ⋈ R): the paper's S.A and R.A are distinct attributes, so
@@ -266,9 +267,12 @@ fn example_3_16_security_bag() {
     let joined = {
         let s2 = s.rename("a", "b").unwrap();
         let j = product(&s2, &r).unwrap();
-        project(&j, &["b"]).unwrap().rename("b", "a").unwrap()
+        project(&j, &["b"], &ExecOptions::serial())
+            .unwrap()
+            .rename("b", "a")
+            .unwrap()
     };
-    let unioned = union(&r, &joined).unwrap();
+    let unioned = union(&r, &joined, &ExecOptions::serial()).unwrap();
     let total = agg(&unioned, AggSpec::new(MonoidKind::Sum, "a")).unwrap();
     let (t, _) = total.iter().next().unwrap();
     // Expected: (T·S + S)⊗30 + S⊗10 — counts {t:1, s:1} on 30 and {s:1}
