@@ -1,121 +1,50 @@
 //! Machine-readable lint output (`aggprov-lint --json`).
 //!
-//! Renders a [`crate::rules::LintReport`] as one JSON object:
+//! Renders a [`crate::rules::LintReport`] as one JSON object (keys in
+//! sorted order):
 //!
 //! ```json
 //! {
-//!   "findings": [ {"rule": "...", "path": "...", "line": N,
-//!                  "message": "...", "waived": false}, ... ],
-//!   "waived":   [ ...same shape with "waived": true... ],
-//!   "counts":   {"findings": N, "waived": N}
+//!   "counts":   {"findings": N, "waived": N},
+//!   "findings": [ {"line": N, "message": "...", "path": "...",
+//!                  "rule": "...", "waived": false}, ... ],
+//!   "waived":   [ ...same shape with "waived": true... ]
 //! }
 //! ```
 //!
-//! The escaping follows the same conventions as the server's vendored
-//! JSON module (`crates/server/src/json.rs`): `"` `\\` and the three
-//! whitespace escapes by name, all other control characters as
-//! `\u00XX`, everything else verbatim. The round-trip test in
-//! `tests/json_roundtrip.rs` parses this output with that very parser,
-//! so the two dialects can't drift.
+//! The value is built with the workspace's one JSON codec
+//! (`aggprov-json`, the same one the server speaks on the wire), so
+//! escaping cannot drift between the two; `tests/json_roundtrip.rs`
+//! parses the output back with that codec's parser.
 
 use crate::rules::LintReport;
 use crate::Diagnostic;
-use std::fmt::Write;
+use aggprov_json::Json;
 
-/// Renders the report as a single-object JSON document (no trailing
-/// newline).
-pub fn render(report: &LintReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\"findings\":[");
-    for (i, d) in report.findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_diag(&mut out, d, false);
-    }
-    out.push_str("],\"waived\":[");
-    for (i, d) in report.waived.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_diag(&mut out, d, true);
-    }
-    let _ = write!(
-        out,
-        "],\"counts\":{{\"findings\":{},\"waived\":{}}}}}",
-        report.findings.len(),
-        report.waived.len()
-    );
-    out
+/// Renders the report as a single JSON object.
+pub fn render(report: &LintReport) -> Json {
+    let diags =
+        |ds: &[Diagnostic], waived: bool| Json::Arr(ds.iter().map(|d| diag(d, waived)).collect());
+    let count = |ds: &[Diagnostic]| Json::Int(ds.len() as i64);
+    Json::obj([
+        ("findings", diags(&report.findings, false)),
+        ("waived", diags(&report.waived, true)),
+        (
+            "counts",
+            Json::obj([
+                ("findings", count(&report.findings)),
+                ("waived", count(&report.waived)),
+            ]),
+        ),
+    ])
 }
 
-fn push_diag(out: &mut String, d: &Diagnostic, waived: bool) {
-    out.push_str("{\"rule\":");
-    push_escaped(out, d.rule);
-    out.push_str(",\"path\":");
-    push_escaped(out, &d.path);
-    let _ = write!(out, ",\"line\":{}", d.line);
-    out.push_str(",\"message\":");
-    push_escaped(out, &d.message);
-    let _ = write!(out, ",\"waived\":{waived}}}");
-}
-
-/// Escapes a string the same way the server's JSON printer does.
-fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn diag(rule: &'static str, msg: &str) -> Diagnostic {
-        Diagnostic {
-            path: "crates/core/src/ops.rs".to_string(),
-            line: 7,
-            rule,
-            message: msg.to_string(),
-        }
-    }
-
-    #[test]
-    fn renders_counts_and_escapes() {
-        let report = LintReport {
-            findings: vec![diag("panic", "don't \"unwrap\"\nhere")],
-            waived: vec![diag("index", "tab\there")],
-        };
-        let s = render(&report);
-        assert!(s.starts_with("{\"findings\":["), "{s}");
-        assert!(s.contains("\\\"unwrap\\\"\\nhere"), "{s}");
-        assert!(s.contains("tab\\there"), "{s}");
-        assert!(s.contains("\"waived\":false"));
-        assert!(s.contains("\"waived\":true"));
-        assert!(
-            s.ends_with("\"counts\":{\"findings\":1,\"waived\":1}}"),
-            "{s}"
-        );
-    }
-
-    #[test]
-    fn empty_report_is_a_complete_object() {
-        let s = render(&LintReport::default());
-        assert_eq!(
-            s,
-            "{\"findings\":[],\"waived\":[],\"counts\":{\"findings\":0,\"waived\":0}}"
-        );
-    }
+fn diag(d: &Diagnostic, waived: bool) -> Json {
+    Json::obj([
+        ("rule", Json::str(d.rule)),
+        ("path", Json::str(d.path.as_str())),
+        ("line", Json::Int(i64::from(d.line))),
+        ("message", Json::str(d.message.as_str())),
+        ("waived", Json::Bool(waived)),
+    ])
 }

@@ -12,7 +12,7 @@
 //!
 //! It is a **two-phase analyzer** built on a lightweight token scanner
 //! ([`lexer`]) in the same hand-rolled, zero-dependency style as the SQL
-//! lexer (`engine/src/lexer.rs`) and the server's JSON parser — no
+//! lexer (`engine/src/lexer.rs`) and the workspace's JSON codec — no
 //! `syn`, no network. Phase 1 ([`graph`]) walks the workspace once and
 //! builds a symbol graph: functions with spans, an approximate call
 //! graph from unique-name resolution, per-function lock-guard events,

@@ -13,7 +13,7 @@
 pub const ENV_REGISTRY: &[(&str, &str)] = &[
     (
         "AGGPROV_BENCH_COMMIT",
-        "commit id stamped into benchmark trajectory records",
+        "`1` writes bench output over the checked-in `BENCH_pr<N>.json` files",
     ),
     (
         "AGGPROV_BENCH_SAMPLES",

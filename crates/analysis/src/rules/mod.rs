@@ -38,12 +38,14 @@ pub fn groundness_scope(path: &str) -> bool {
 
 /// Files subject to the `panic` and `index` rules: the designated
 /// execute-path modules — the operator kernels, the engine's
-/// plan/execute pipeline, and **all** of the server crate (a client
-/// request must never be able to take down the process, and the serving
-/// binaries sit directly on the request path).
+/// plan/execute pipeline, and **all** of the server crate and of the
+/// JSON codec it parses every request line with (a client request must
+/// never be able to take down the process, and the serving binaries sit
+/// directly on the request path).
 pub fn execute_scope(path: &str) -> bool {
     groundness_scope(path)
         || path.starts_with("crates/server/src/")
+        || path.starts_with("crates/json/src/")
         || matches!(
             path,
             "crates/core/src/par.rs"
@@ -156,4 +158,17 @@ pub fn run_report(ws: &Workspace) -> LintReport {
 /// sorted by path, line, rule.
 pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
     run_report(ws).findings
+}
+
+#[cfg(test)]
+mod tests {
+    use super::execute_scope;
+
+    #[test]
+    fn execute_scope_covers_the_server_and_its_json_codec() {
+        for path in ["crates/server/src/session.rs", "crates/json/src/json.rs"] {
+            assert!(execute_scope(path), "{path}");
+        }
+        assert!(!execute_scope("crates/analysis/src/json.rs"));
+    }
 }

@@ -17,7 +17,7 @@
 
 use aggprov_bench::batchbench::{self, measure, render_json};
 use aggprov_bench::parbench::host_cpus;
-use aggprov_bench::trajectory::out_path;
+use aggprov_bench::trajectory::write;
 use criterion::quick_mode_samples;
 
 fn main() {
@@ -40,8 +40,5 @@ fn main() {
             p.speedup()
         );
     }
-    let json = render_json(&points, samples, host_cpus());
-    let out = out_path(&format!("BENCH_pr{}.json", batchbench::PR));
-    std::fs::write(&out, json).expect("write BENCH_pr4.json");
-    println!("wrote {}", out.display());
+    write(batchbench::PR, &render_json(&points, samples, host_cpus()));
 }

@@ -7,10 +7,9 @@
 //! and hash paths and the resulting speedup. By default the file goes to
 //! `target/bench/` so a plain `cargo bench` never dirties the working
 //! tree; set `AGGPROV_BENCH_COMMIT=1` to overwrite the checked-in
-//! repo-root copy when committing a new trajectory point (or point
-//! `BENCH_PR2_OUT` at an explicit path). CI runs this in quick mode
-//! (`AGGPROV_BENCH_SAMPLES=2`) and the `check_trajectory` gate compares
-//! the fresh ratios against the checked-in point.
+//! repo-root copy when committing a new trajectory point. CI runs this
+//! in quick mode (`AGGPROV_BENCH_SAMPLES=2`) and the `check_trajectory`
+//! gate compares the fresh ratios against the checked-in point.
 //!
 //! Workloads are fully ground (the common case the ground/symbolic split
 //! optimizes for): a 10k-row employee table joined with / grouped over a
@@ -20,8 +19,8 @@
 
 use aggprov_algebra::monoid::MonoidKind;
 use aggprov_bench::fixtures::{dept_table, emp_table, union_pair, EMP_ROWS, SMALL_ROWS};
-use aggprov_bench::parbench::time;
-use aggprov_bench::trajectory::out_path;
+use aggprov_bench::parbench::{host_cpus, time};
+use aggprov_bench::trajectory::{ab_row, render, write};
 use aggprov_core::ops::{self, AggSpec};
 use aggprov_core::par::ExecOptions;
 use aggprov_core::specops;
@@ -118,33 +117,11 @@ fn main() {
         specops::group_by(&tiny, &["dept"], &gb_specs).unwrap()
     );
 
-    let json = render_json(&results, samples);
-    let out = match std::env::var("BENCH_PR2_OUT") {
-        Ok(explicit) => std::path::PathBuf::from(explicit),
-        Err(_) => out_path("BENCH_pr2.json"),
-    };
-    std::fs::write(&out, json).expect("write BENCH_pr2.json");
-    println!("wrote {}", out.display());
-}
-
-fn render_json(results: &[Measurement], samples: usize) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"hash_vs_naive\",\n");
-    s.push_str("  \"pr\": 2,\n");
-    s.push_str(&format!("  \"samples\": {samples},\n"));
-    s.push_str("  \"results\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"op\": \"{}\", \"rows\": {}, \"naive_ns\": {}, \"hash_ns\": {}, \
-             \"speedup\": {:.1}}}{}\n",
-            m.op,
-            m.rows,
-            m.naive.as_nanos(),
-            m.hash.as_nanos(),
-            m.speedup(),
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let rows = results
+        .iter()
+        .map(|m| ab_row(m.op, m.rows, ("naive_ns", m.naive), ("hash_ns", m.hash)));
+    write(
+        2,
+        &render("hash_vs_naive", 2, samples, None, host_cpus(), rows),
+    );
 }

@@ -4,7 +4,7 @@
 //! `BENCH_pr5.json` trajectory point (to `target/bench/` unless
 //! `AGGPROV_BENCH_COMMIT=1`).
 
-use aggprov_bench::trajectory::out_path;
+use aggprov_bench::trajectory::write;
 use aggprov_bench::{optbench, parbench};
 use criterion::quick_mode_samples;
 
@@ -24,8 +24,8 @@ fn main() {
             p.speedup()
         );
     }
-    let json = optbench::render_json(&points, samples, parbench::host_cpus());
-    let path = out_path("BENCH_pr5.json");
-    std::fs::write(&path, json).expect("write BENCH_pr5.json");
-    println!("wrote {}", path.display());
+    write(
+        optbench::PR,
+        &optbench::render_json(&points, samples, parbench::host_cpus()),
+    );
 }

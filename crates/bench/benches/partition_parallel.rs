@@ -16,7 +16,7 @@
 //! trajectory stays interpretable.
 
 use aggprov_bench::parbench::{self, host_cpus, measure, render_json};
-use aggprov_bench::trajectory::out_path;
+use aggprov_bench::trajectory::write;
 use aggprov_core::par::{ExecOptions, THREADS_ENV};
 use criterion::quick_mode_samples;
 
@@ -44,8 +44,8 @@ fn main() {
             p.speedup()
         );
     }
-    let json = render_json(&points, samples, threads, host_cpus());
-    let out = out_path(&format!("BENCH_pr{}.json", parbench::PR));
-    std::fs::write(&out, json).expect("write BENCH_pr3.json");
-    println!("wrote {}", out.display());
+    write(
+        parbench::PR,
+        &render_json(&points, samples, threads, host_cpus()),
+    );
 }

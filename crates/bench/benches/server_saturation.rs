@@ -17,7 +17,7 @@
 
 use aggprov_bench::parbench::host_cpus;
 use aggprov_bench::serverbench::{self, measure, render_json};
-use aggprov_bench::trajectory::out_path;
+use aggprov_bench::trajectory::write;
 use criterion::quick_mode_samples;
 
 fn main() {
@@ -42,8 +42,5 @@ fn main() {
             p.qps() / base_qps.max(1e-12)
         );
     }
-    let json = render_json(&points, samples, host_cpus());
-    let out = out_path(&format!("BENCH_pr{}.json", serverbench::PR));
-    std::fs::write(&out, json).expect("write BENCH_pr6.json");
-    println!("wrote {}", out.display());
+    write(serverbench::PR, &render_json(&points, samples, host_cpus()));
 }

@@ -15,7 +15,7 @@
 //! the checked-in repo-root copy when committing a new trajectory point.
 
 use aggprov_bench::parbench::host_cpus;
-use aggprov_bench::trajectory::out_path;
+use aggprov_bench::trajectory::write;
 use aggprov_bench::typedbench::{self, measure, render_json};
 use criterion::quick_mode_samples;
 
@@ -41,8 +41,5 @@ fn main() {
             p.speedup()
         );
     }
-    let json = render_json(&points, samples, host_cpus());
-    let out = out_path(&format!("BENCH_pr{}.json", typedbench::PR));
-    std::fs::write(&out, json).expect("write BENCH_pr9.json");
-    println!("wrote {}", out.display());
+    write(typedbench::PR, &render_json(&points, samples, host_cpus()));
 }

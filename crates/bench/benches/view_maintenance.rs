@@ -4,7 +4,7 @@
 //! the `BENCH_pr8.json` trajectory point (to `target/bench/` unless
 //! `AGGPROV_BENCH_COMMIT=1`).
 
-use aggprov_bench::trajectory::out_path;
+use aggprov_bench::trajectory::write;
 use aggprov_bench::{parbench, viewbench};
 use criterion::quick_mode_samples;
 
@@ -24,8 +24,8 @@ fn main() {
             p.speedup()
         );
     }
-    let json = viewbench::render_json(&points, samples, parbench::host_cpus());
-    let path = out_path("BENCH_pr8.json");
-    std::fs::write(&path, json).expect("write BENCH_pr8.json");
-    println!("wrote {}", path.display());
+    write(
+        viewbench::PR,
+        &viewbench::render_json(&points, samples, parbench::host_cpus()),
+    );
 }

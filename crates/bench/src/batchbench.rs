@@ -20,6 +20,7 @@
 //! recorded for provenance of the measurement.
 
 use crate::fixtures::{dept_table, emp_table, EMP_ROWS};
+use crate::trajectory::{ab_row, render};
 use aggprov_algebra::domain::Const;
 use aggprov_core::km::CmpPred;
 use aggprov_core::ops::batch::{hash_join, BatchCmp, BatchOperand, Chunk};
@@ -187,24 +188,13 @@ pub fn measure(samples: usize) -> Vec<BatchPoint> {
 /// these ratios are algorithmic and must never be clamped by the gate —
 /// but `host_cpus` records where the measurement came from.
 pub fn render_json(points: &[BatchPoint], samples: usize, host_cpus: usize) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"batch_pipeline\",\n");
-    s.push_str(&format!("  \"pr\": {PR},\n"));
-    s.push_str(&format!("  \"samples\": {samples},\n"));
-    s.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    s.push_str("  \"results\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"op\": \"{}\", \"rows\": {}, \"tuple_ns\": {}, \"batched_ns\": {}, \
-             \"speedup\": {:.2}}}{}\n",
+    let rows = points.iter().map(|p| {
+        ab_row(
             p.op,
             p.rows,
-            p.tuple.as_nanos(),
-            p.batched.as_nanos(),
-            p.speedup(),
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+            ("tuple_ns", p.tuple),
+            ("batched_ns", p.batched),
+        )
+    });
+    render("batch_pipeline", PR, samples, None, host_cpus, rows)
 }

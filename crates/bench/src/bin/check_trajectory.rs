@@ -11,15 +11,16 @@
 //!
 //! * the **newest** checked-in point is always enforced. Its fresh
 //!   counterpart is read from `target/bench/` (written by a preceding
-//!   `cargo bench`); for the partition-parallel and batch-pipeline points
-//!   the gate can also measure inline, so it works as a single
-//!   standalone command;
+//!   `cargo bench`); the benches listed in [`INLINE`] can also be
+//!   measured by the gate itself, so it works as a single standalone
+//!   command;
 //! * **older** checked-in points are enforced whenever a fresh counterpart
 //!   exists in `target/bench/` (CI runs their benches first), so the PR 2
 //!   hash-vs-naive ratios stay guarded too;
 //! * ratios are scale-free and compared with a 2× tolerance, which rides
 //!   out quick-mode sampling noise but not an order-of-magnitude loss.
 
+use aggprov_bench::parbench::host_cpus;
 use aggprov_bench::trajectory::{
     checked_in_points, clamp_to_host, compare, fresh_path, host_note, parse, BenchFile,
     MAX_REGRESSION,
@@ -27,20 +28,51 @@ use aggprov_bench::trajectory::{
 use aggprov_bench::{batchbench, optbench, parbench, serverbench, typedbench, viewbench};
 use criterion::quick_mode_samples;
 
+/// A point the gate can measure itself: its PR, its bench name, and a
+/// measure-and-render at a sample count (the recorded point supplies
+/// the thread count of a thread-scaling bench).
+type Inline = (u32, &'static str, fn(usize, &BenchFile) -> String);
+
+/// The self-measuring points, so a bare `cargo run --bin
+/// check_trajectory` enforces them with no preceding bench step. A new
+/// trajectory point is one row here.
+const INLINE: [Inline; 6] = [
+    (optbench::PR, "opt_pipeline", |samples, _| {
+        optbench::render_json(&optbench::measure(samples), samples, host_cpus())
+    }),
+    (viewbench::PR, "view_maintenance", |samples, _| {
+        viewbench::render_json(&viewbench::measure(samples), samples, host_cpus())
+    }),
+    (typedbench::PR, "typed_kernels", |samples, _| {
+        typedbench::render_json(&typedbench::measure(samples), samples, host_cpus())
+    }),
+    (batchbench::PR, "batch_pipeline", |samples, _| {
+        batchbench::render_json(&batchbench::measure(samples), samples, host_cpus())
+    }),
+    (serverbench::PR, "server_saturation", |samples, _| {
+        serverbench::render_json(&serverbench::measure(samples), samples, host_cpus())
+    }),
+    (parbench::PR, "partition_parallel", |samples, recorded| {
+        let threads = recorded.threads.unwrap_or(4);
+        let points = parbench::measure(samples, threads);
+        parbench::render_json(&points, samples, threads, host_cpus())
+    }),
+];
+
 fn read_bench_file(path: &std::path::Path) -> Option<BenchFile> {
     let text = std::fs::read_to_string(path).ok()?;
     parse(&text)
 }
 
-/// Runs one self-measuring point inline (quick mode) — the gate owns
-/// these measurements, so a bare `cargo run --bin check_trajectory`
-/// always enforces them with no preceding bench step. `detail` goes into
-/// the progress line (e.g. a thread count); `render` measures at the
-/// given sample count and returns the rendered trajectory JSON.
-fn inline_measure(name: &str, detail: &str, render: impl FnOnce(usize) -> String) -> BenchFile {
+/// Measures `pr` inline (quick mode) if [`INLINE`] lists it.
+fn inline_measure(pr: u32, recorded: &BenchFile) -> Option<BenchFile> {
+    let (_, name, measure) = INLINE.iter().find(|(p, _, _)| *p == pr)?;
     let samples = quick_mode_samples(5);
-    println!("check_trajectory: measuring {name} inline ({samples} samples{detail})");
-    parse(&render(samples)).expect("self-rendered JSON parses")
+    let threads = recorded
+        .threads
+        .map_or_else(String::new, |t| format!(", threads = {t}"));
+    println!("check_trajectory: measuring {name} inline ({samples} samples{threads})");
+    Some(parse(&measure(samples, recorded)).expect("self-rendered JSON parses"))
 }
 
 fn main() {
@@ -61,16 +93,16 @@ fn main() {
         // A point measured on a different core count is still judged
         // (algorithmic ratios are scale-free), but say so: a reader
         // comparing absolute numbers should know the hosts differ.
-        if let Some(note) = host_note(&recorded, parbench::host_cpus()) {
+        if let Some(note) = host_note(&recorded, host_cpus()) {
             println!("{note}");
         }
         // Thread-scaling ratios do not transfer across core counts: judge
         // them against what this host can physically deliver.
-        if clamp_to_host(&mut recorded, parbench::host_cpus()) {
+        if clamp_to_host(&mut recorded, host_cpus()) {
             println!(
                 "BENCH_pr{pr}: thread-scaling expectations clamped to this host's \
                  {} CPU(s) (recorded on host_cpus = {})",
-                parbench::host_cpus(),
+                host_cpus(),
                 recorded
                     .host_cpus
                     .map_or_else(|| "?".to_string(), |n| n.to_string())
@@ -92,58 +124,8 @@ fn main() {
             }
             None => None,
         };
-        let fresh = match fresh {
+        let fresh = match fresh.or_else(|| inline_measure(*pr, &recorded)) {
             Some(f) => f,
-            None if *pr == optbench::PR => inline_measure("opt_pipeline", "", |samples| {
-                optbench::render_json(&optbench::measure(samples), samples, parbench::host_cpus())
-            }),
-            None if *pr == viewbench::PR => inline_measure("view_maintenance", "", |samples| {
-                viewbench::render_json(&viewbench::measure(samples), samples, parbench::host_cpus())
-            }),
-            None if *pr == typedbench::PR => inline_measure(
-                "typed_kernels",
-                &format!(", shard threads = {}", typedbench::shard_threads()),
-                |samples| {
-                    typedbench::render_json(
-                        &typedbench::measure(samples),
-                        samples,
-                        parbench::host_cpus(),
-                    )
-                },
-            ),
-            None if *pr == batchbench::PR => inline_measure("batch_pipeline", "", |samples| {
-                batchbench::render_json(
-                    &batchbench::measure(samples),
-                    samples,
-                    parbench::host_cpus(),
-                )
-            }),
-            None if *pr == serverbench::PR => inline_measure(
-                "server_saturation",
-                &format!(", clients = {:?}", serverbench::CLIENT_COUNTS),
-                |samples| {
-                    serverbench::render_json(
-                        &serverbench::measure(samples),
-                        samples,
-                        parbench::host_cpus(),
-                    )
-                },
-            ),
-            None if *pr == parbench::PR => {
-                let threads = recorded.threads.unwrap_or(4);
-                inline_measure(
-                    "partition_parallel",
-                    &format!(", threads = {threads}"),
-                    |samples| {
-                        parbench::render_json(
-                            &parbench::measure(samples, threads),
-                            samples,
-                            threads,
-                            parbench::host_cpus(),
-                        )
-                    },
-                )
-            }
             None if *pr == newest_pr => {
                 failures.push(format!(
                     "BENCH_pr{pr}: newest trajectory point has no comparable fresh run; \

@@ -16,6 +16,7 @@
 //! measured is execution, exactly what the plan cache makes the steady
 //! state of a prepared workload.
 
+use crate::trajectory::{ab_row, render};
 use aggprov_core::ops::MKRel;
 use aggprov_core::par::ExecOptions;
 use aggprov_core::Prov;
@@ -110,24 +111,8 @@ impl QueryRel for aggprov_engine::Prepared<'_, Prov> {
 /// these ratios are algorithmic and must never be clamped by the gate —
 /// but `host_cpus` records where the measurement came from.
 pub fn render_json(points: &[OptPoint], samples: usize, host_cpus: usize) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"opt_pipeline\",\n");
-    s.push_str(&format!("  \"pr\": {PR},\n"));
-    s.push_str(&format!("  \"samples\": {samples},\n"));
-    s.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    s.push_str("  \"results\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"op\": \"{}\", \"rows\": {}, \"unopt_ns\": {}, \"opt_ns\": {}, \
-             \"speedup\": {:.2}}}{}\n",
-            p.op,
-            p.rows,
-            p.unopt.as_nanos(),
-            p.opt.as_nanos(),
-            p.speedup(),
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let rows = points
+        .iter()
+        .map(|p| ab_row(p.op, p.rows, ("unopt_ns", p.unopt), ("opt_ns", p.opt)));
+    render("opt_pipeline", PR, samples, None, host_cpus, rows)
 }

@@ -8,6 +8,7 @@
 //! checked-in point) so both always measure exactly the same thing.
 
 use crate::fixtures::{dept_table, emp_table, union_pair, EMP_ROWS, SMALL_ROWS};
+use crate::trajectory::{ab_row, render};
 use aggprov_algebra::monoid::MonoidKind;
 use aggprov_core::ops::{self, AggSpec};
 use aggprov_core::par::ExecOptions;
@@ -129,27 +130,17 @@ pub fn render_json(
     threads: usize,
     host_cpus: usize,
 ) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"partition_parallel\",\n");
-    s.push_str(&format!("  \"pr\": {PR},\n"));
-    s.push_str(&format!("  \"samples\": {samples},\n"));
-    s.push_str(&format!("  \"threads\": {threads},\n"));
-    s.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    s.push_str("  \"results\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"op\": \"{}\", \"rows\": {}, \"t1_ns\": {}, \"tn_ns\": {}, \
-             \"speedup\": {:.2}}}{}\n",
-            p.op,
-            p.rows,
-            p.t1.as_nanos(),
-            p.tn.as_nanos(),
-            p.speedup(),
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let rows = points
+        .iter()
+        .map(|p| ab_row(p.op, p.rows, ("t1_ns", p.t1), ("tn_ns", p.tn)));
+    render(
+        "partition_parallel",
+        PR,
+        samples,
+        Some(threads),
+        host_cpus,
+        rows,
+    )
 }
 
 /// The measuring machine's available parallelism (the thread count

@@ -12,6 +12,7 @@
 //! by construction numbers for *correct* concurrent executions.
 
 use crate::fixtures::{dept_table, emp_table, DEPTS};
+use crate::trajectory::{nanos, ratio, render};
 use aggprov_algebra::monoid::MonoidKind;
 use aggprov_core::ops::{self, AggSpec, MKRel};
 use aggprov_core::{specops, Prov, Value};
@@ -59,10 +60,8 @@ fn rendered_rows(rel: &MKRel<Prov>) -> Json {
                 .iter()
                 .map(|v| Json::str(v.to_string()))
                 .collect();
-            let mut obj = std::collections::BTreeMap::new();
-            obj.insert("values".to_string(), Json::Arr(values));
-            obj.insert("annotation".to_string(), Json::str(annotation.to_string()));
-            Json::Obj(obj)
+            let annotation = Json::str(annotation.to_string());
+            Json::obj([("values", Json::Arr(values)), ("annotation", annotation)])
         })
         .collect();
     Json::Arr(rows)
@@ -185,26 +184,22 @@ pub fn render_json(points: &[SaturationPoint], samples: usize, host_cpus: usize)
         .unwrap_or(1.0)
         .max(1e-12);
     let max_clients = points.iter().map(|p| p.clients).max().unwrap_or(1);
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"server_saturation\",\n");
-    s.push_str(&format!("  \"pr\": {PR},\n"));
-    s.push_str(&format!("  \"samples\": {samples},\n"));
-    s.push_str(&format!("  \"threads\": {max_clients},\n"));
-    s.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    s.push_str(&format!("  \"rows\": {ROWS},\n"));
-    s.push_str("  \"results\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"op\": \"clients_{}\", \"queries\": {}, \"elapsed_ns\": {}, \
-             \"qps\": {:.1}, \"speedup\": {:.2}}}{}\n",
-            p.clients,
-            p.queries,
-            p.elapsed.as_nanos(),
-            p.qps(),
-            p.qps() / base_qps,
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let rows = points.iter().map(|p| {
+        Json::obj([
+            ("op", Json::str(format!("clients_{}", p.clients))),
+            ("rows", Json::Int(ROWS as i64)),
+            ("queries", Json::Int(p.queries as i64)),
+            ("elapsed_ns", nanos(p.elapsed)),
+            ("qps", ratio(p.qps())),
+            ("speedup", ratio(p.qps() / base_qps)),
+        ])
+    });
+    render(
+        "server_saturation",
+        PR,
+        samples,
+        Some(max_clients),
+        host_cpus,
+        rows,
+    )
 }

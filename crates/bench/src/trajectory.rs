@@ -12,11 +12,13 @@
 //! quick-mode measurement shows any (clamped) recorded ratio regressed by
 //! more than [`MAX_REGRESSION`]×.
 //!
-//! The JSON subset used by the trajectory files is fixed and written by
-//! this workspace, so the parser here is a small hand-rolled scanner — no
-//! serde in the offline build environment.
+//! Every bench writes its file through [`render`] (the shared envelope)
+//! and [`ab_row`] (one A/B result row), and [`parse`] reads it back;
+//! both go through the workspace's one JSON codec (`aggprov-json`).
 
+use aggprov_json::Json;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 /// The regression multiplier the gate tolerates: a fresh ratio may be up
 /// to this many times *smaller* than the recorded one before the job
@@ -57,63 +59,81 @@ pub struct BenchFile {
     pub points: Vec<Point>,
 }
 
-/// Extracts the number following `"key":` at top level or anywhere after
-/// `from`, returning the value and the position after it.
-fn scan_number(s: &str, key: &str, from: usize) -> Option<(f64, usize)> {
-    let needle = format!("\"{key}\":");
-    let at = s[from..].find(&needle)? + from + needle.len();
-    let rest = s[at..].trim_start();
-    let offset = at + (s[at..].len() - rest.len());
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse::<f64>().ok().map(|v| (v, offset + end))
-}
-
-/// Extracts the string following `"key":` after `from`.
-fn scan_string(s: &str, key: &str, from: usize) -> Option<(String, usize)> {
-    let needle = format!("\"{key}\":");
-    let at = s[from..].find(&needle)? + from + needle.len();
-    let open = s[at..].find('"')? + at + 1;
-    let close = s[open..].find('"')? + open;
-    Some((s[open..close].to_string(), close + 1))
-}
-
-/// Parses a trajectory file. Unknown fields are ignored; `op`/`speedup`
-/// pairs are read in document order. File-level metadata (`threads`,
-/// `host_cpus`) is read from the prefix before the `results` array; a
-/// per-point `"threads"` (written after the point's `"op"`, inside the
-/// same object) overrides — or, for a file with no file-level count,
+/// Parses a trajectory file. Unknown fields are ignored. File-level
+/// metadata (`threads`, `host_cpus`) sits beside `results`; a per-point
+/// `"threads"` overrides — or, for a file with no file-level count,
 /// introduces — the thread count of that one point.
 pub fn parse(json: &str) -> Option<BenchFile> {
-    let pr = scan_number(json, "pr", 0)?.0 as u32;
-    let head = &json[..json.find("\"results\"").unwrap_or(json.len())];
-    let threads = scan_number(head, "threads", 0).map(|(v, _)| v as usize);
-    let host_cpus = scan_number(head, "host_cpus", 0).map(|(v, _)| v as usize);
-    let mut points = Vec::new();
-    let mut pos = 0;
-    while let Some((op, after_op)) = scan_string(json, "op", pos) {
-        // Per-point fields live between this `"op"` and the object's
-        // closing brace; scanning past it would steal the next point's.
-        let obj_end = json[after_op..]
-            .find('}')
-            .map_or(json.len(), |i| after_op + i);
-        let obj = &json[..obj_end];
-        let point_threads = scan_number(obj, "threads", after_op).map(|(v, _)| v as usize);
-        let (speedup, after) = scan_number(obj, "speedup", after_op)?;
-        points.push(Point {
-            op,
-            speedup,
-            threads: point_threads.or(threads),
-        });
-        pos = after.max(obj_end);
-    }
+    let doc = Json::parse(json).ok()?;
+    let count = |v: &Json, key: &str| {
+        let n = v.get(key).and_then(Json::as_int)?;
+        usize::try_from(n).ok()
+    };
+    let threads = count(&doc, "threads");
+    let points = doc.get("results")?.as_arr()?.iter().map(|row| {
+        Some(Point {
+            op: row.get("op")?.as_str()?.to_string(),
+            speedup: row.get("speedup")?.as_f64()?,
+            threads: count(row, "threads").or(threads),
+        })
+    });
     Some(BenchFile {
-        pr,
+        pr: u32::try_from(doc.get("pr")?.as_int()?).ok()?,
         threads,
-        host_cpus,
-        points,
+        host_cpus: count(&doc, "host_cpus"),
+        points: points.collect::<Option<_>>()?,
     })
+}
+
+/// Renders a trajectory file: the envelope every bench shares (`bench`,
+/// `pr`, `samples`, `host_cpus` and, for a thread-scaling point, a
+/// file-level `threads`) around its `results` rows.
+pub fn render(
+    bench: &'static str,
+    pr: u32,
+    samples: usize,
+    threads: Option<usize>,
+    host_cpus: usize,
+    results: impl IntoIterator<Item = Json>,
+) -> String {
+    let mut fields = vec![
+        ("bench", Json::str(bench)),
+        ("pr", Json::Int(pr.into())),
+        ("samples", Json::Int(samples as i64)),
+        ("host_cpus", Json::Int(host_cpus as i64)),
+        ("results", Json::Arr(results.into_iter().collect())),
+    ];
+    fields.extend(threads.map(|t| ("threads", Json::Int(t as i64))));
+    format!("{}\n", Json::obj(fields))
+}
+
+/// One A/B result row: the operator, its input size, the mean time of
+/// the baseline and of the measured path under the bench's own field
+/// names, and `speedup` = baseline / measured.
+pub fn ab_row(
+    op: &'static str,
+    rows: usize,
+    (base_key, base): (&'static str, Duration),
+    (new_key, new): (&'static str, Duration),
+) -> Json {
+    let speedup = base.as_secs_f64() / new.as_secs_f64().max(1e-12);
+    Json::obj([
+        ("op", Json::str(op)),
+        ("rows", Json::Int(rows as i64)),
+        (base_key, nanos(base)),
+        (new_key, nanos(new)),
+        ("speedup", ratio(speedup)),
+    ])
+}
+
+/// A duration as whole nanoseconds.
+pub fn nanos(d: Duration) -> Json {
+    Json::Int(i64::try_from(d.as_nanos()).unwrap_or(i64::MAX))
+}
+
+/// A ratio rounded to two decimals — the precision the gate judges at.
+pub fn ratio(x: f64) -> Json {
+    Json::Float((x * 100.0).round() / 100.0)
 }
 
 /// The repository root (two levels above the bench crate).
@@ -125,18 +145,19 @@ pub fn repo_root() -> PathBuf {
         .unwrap_or_else(|_| Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."))
 }
 
-/// Where a bench should write `file_name`: the checked-in repo root only
-/// when `AGGPROV_BENCH_COMMIT=1` (committing a new trajectory point),
-/// otherwise `target/bench/` — a plain `cargo bench` must not dirty the
-/// working tree.
-pub fn out_path(file_name: &str) -> PathBuf {
-    let root = repo_root();
-    if std::env::var(COMMIT_ENV).as_deref() == Ok("1") {
-        return root.join(file_name);
-    }
-    let dir = root.join("target").join("bench");
-    std::fs::create_dir_all(&dir).expect("create target/bench");
-    dir.join(file_name)
+/// Writes a rendered trajectory file as `BENCH_pr<pr>.json`: to the
+/// checked-in repo root only when `AGGPROV_BENCH_COMMIT=1` (committing a
+/// new trajectory point), otherwise to `target/bench/` — a plain
+/// `cargo bench` must not dirty the working tree.
+pub fn write(pr: u32, json: &str) {
+    let name = format!("BENCH_pr{pr}.json");
+    let out = match std::env::var(COMMIT_ENV).as_deref() {
+        Ok("1") => repo_root().join(name),
+        _ => fresh_path(&name),
+    };
+    std::fs::create_dir_all(fresh_path("")).expect("create target/bench");
+    std::fs::write(&out, json).unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
+    println!("wrote {}", out.display());
 }
 
 /// The fresh (non-committed) location of `file_name`.
@@ -359,25 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn render_and_parse_round_trip() {
-        use crate::parbench::{render_json, ParPoint};
-        use std::time::Duration;
-        let points = vec![ParPoint {
-            op: "join_on",
-            rows: 10_000,
-            t1: Duration::from_nanos(1000),
-            tn: Duration::from_nanos(400),
-        }];
-        let json = render_json(&points, 5, 4, 8);
-        let parsed = parse(&json).unwrap();
-        assert_eq!(parsed.pr, crate::parbench::PR);
-        assert_eq!(parsed.threads, Some(4));
-        assert_eq!(parsed.host_cpus, Some(8));
-        assert_eq!(parsed.points.len(), 1);
-        assert!((parsed.points[0].speedup - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn typed_render_and_parse_round_trip() {
         use crate::typedbench::{render_json, TypedPoint};
         use std::time::Duration;
@@ -407,5 +409,84 @@ mod tests {
         assert_eq!(parsed.points[1].threads, Some(4));
         assert!((parsed.points[0].speedup - 9.0).abs() < 1e-9);
         assert!((parsed.points[1].speedup - 1.25).abs() < 1e-9);
+    }
+
+    /// A parsed file as one `Debug`-printed
+    /// `(pr, threads, host_cpus, [(op, speedup, threads)])`.
+    fn summary(f: &BenchFile) -> String {
+        let points = f
+            .points
+            .iter()
+            .map(|p| (p.op.as_str(), p.speedup, p.threads));
+        let points: Vec<_> = points.collect();
+        format!("{:?}", (f.pr, f.threads, f.host_cpus, points))
+    }
+
+    #[test]
+    fn render_and_parse_round_trip() {
+        // Every writer but the typed one (next test). The A/B writers'
+        // rows all go through `ab_row`, exercised with points by the
+        // partition-parallel and `hash_vs_naive` files; the server writer
+        // maps its own rows.
+        use crate::{batchbench, optbench, parbench, serverbench, viewbench};
+        use std::time::Duration;
+        let ns = Duration::from_nanos;
+        let par = parbench::ParPoint {
+            op: "join_on",
+            rows: 10_000,
+            t1: ns(1000),
+            tn: ns(400),
+        };
+        let clients = |clients, queries| serverbench::SaturationPoint {
+            clients,
+            queries,
+            elapsed: Duration::from_secs(1),
+        };
+        let pr2_row = ab_row("union", 10, ("naive_ns", ns(300)), ("hash_ns", ns(200)));
+        let files = [
+            parbench::render_json(&[par], 5, 4, 8),
+            batchbench::render_json(&[], 5, 2),
+            optbench::render_json(&[], 5, 2),
+            viewbench::render_json(&[], 5, 2),
+            serverbench::render_json(&[clients(1, 10), clients(4, 25)], 5, 2),
+            render("hash_vs_naive", 2, 5, None, 2, [pr2_row]),
+        ];
+        let parsed: Vec<_> = files
+            .iter()
+            .map(|json| summary(&parse(json).unwrap()))
+            .collect();
+        let expected = r#"
+(3, Some(4), Some(8), [("join_on", 2.5, Some(4))])
+(4, None, Some(2), [])
+(5, None, Some(2), [])
+(8, None, Some(2), [])
+(6, Some(4), Some(2), [("clients_1", 1.0, Some(4)), ("clients_4", 2.5, Some(4))])
+(2, None, Some(2), [("union", 1.5, None)])
+"#;
+        assert_eq!(parsed.join("\n"), expected.trim());
+    }
+
+    /// The checked-in trajectory files as the scanner that predates the
+    /// shared codec read them, one [`summary`] per file.
+    const CHECKED_IN: &str = r#"
+(2, None, None, [("join_on", 31.5, None), ("group_by", 27.4, None), ("union", 350.5, None), ("project", 83.0, None)])
+(3, Some(4), Some(1), [("join_on", 0.98, Some(4)), ("group_by", 0.89, Some(4)), ("union", 0.52, Some(4)), ("project", 0.75, Some(4))])
+(4, None, Some(1), [("filter_project_join", 2.9, None), ("filter_project", 1.49, None)])
+(5, None, Some(1), [("sigma_above_join", 2.53, None), ("filtered_join_chain", 3.14, None)])
+(6, Some(16), Some(1), [("clients_1", 1.0, Some(16)), ("clients_4", 1.91, Some(16)), ("clients_16", 2.55, Some(16))])
+(8, None, Some(1), [("insert_churn", 176.33, None), ("delete_churn", 1.64, None)])
+(9, None, Some(1), [("filter_num", 4.7, None), ("filter_num_big", 4.72, None), ("filter_str", 12.89, None), ("join_num", 4.29, None), ("join_num_big", 3.66, None), ("join_str", 9.82, None), ("shard_filter_num", 1.0, Some(1))])
+"#;
+
+    #[test]
+    fn checked_in_points_parse_as_before() {
+        for (pr, pinned) in [2, 3, 4, 5, 6, 8, 9]
+            .into_iter()
+            .zip(CHECKED_IN.trim().lines())
+        {
+            let path = repo_root().join(format!("BENCH_pr{pr}.json"));
+            let f = parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            assert_eq!(summary(&f), pinned, "{}", path.display());
+        }
     }
 }

@@ -31,6 +31,7 @@
 //! `threads = 1` and ≈ 1×, never a fabricated speedup.
 
 use crate::fixtures::{dept_table, emp_str_table, emp_table, region_table, EMP_ROWS};
+use crate::trajectory::{ab_row, render};
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::semiring::Nat;
 use aggprov_core::km::CmpPred;
@@ -38,6 +39,7 @@ use aggprov_core::ops::batch::{hash_join, BatchCmp, BatchOperand, Chunk};
 use aggprov_core::ops::MKRel;
 use aggprov_core::par::ExecOptions;
 use aggprov_core::{Prov, Value};
+use aggprov_json::Json;
 use aggprov_krel::relation::Relation;
 use aggprov_krel::schema::Schema;
 use aggprov_krel::typed::ColumnLayout;
@@ -345,28 +347,17 @@ pub fn measure(samples: usize) -> Vec<TypedPoint> {
 /// field, which the gate clamps to the judging host's parallelism;
 /// `host_cpus` records where the measurement came from.
 pub fn render_json(points: &[TypedPoint], samples: usize, host_cpus: usize) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"typed_kernels\",\n");
-    s.push_str(&format!("  \"pr\": {PR},\n"));
-    s.push_str(&format!("  \"samples\": {samples},\n"));
-    s.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    s.push_str("  \"results\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let threads = p
-            .threads
-            .map_or_else(String::new, |t| format!("\"threads\": {t}, "));
-        s.push_str(&format!(
-            "    {{\"op\": \"{}\", \"rows\": {}, {}\"baseline_ns\": {}, \"typed_ns\": {}, \
-             \"speedup\": {:.2}}}{}\n",
+    let rows = points.iter().map(|p| {
+        let mut row = ab_row(
             p.op,
             p.rows,
-            threads,
-            p.baseline.as_nanos(),
-            p.typed.as_nanos(),
-            p.speedup(),
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+            ("baseline_ns", p.baseline),
+            ("typed_ns", p.typed),
+        );
+        if let (Json::Obj(fields), Some(t)) = (&mut row, p.threads) {
+            fields.insert("threads".to_string(), Json::Int(t as i64));
+        }
+        row
+    });
+    render("typed_kernels", PR, samples, None, host_cpus, rows)
 }

@@ -27,6 +27,7 @@
 //! churn stream is asserted bit-identical between the maintained view and
 //! a from-scratch re-execution.
 
+use crate::trajectory::{ab_row, render};
 use aggprov_core::par::ExecOptions;
 use aggprov_engine::{MaintenanceStrategy, ProvDb};
 use aggprov_workloads::org::{org_database, Org, OrgParams};
@@ -200,24 +201,8 @@ pub fn measure(samples: usize) -> Vec<ViewPoint> {
 /// these ratios are algorithmic and must never be clamped by the gate —
 /// but `host_cpus` records where the measurement came from.
 pub fn render_json(points: &[ViewPoint], samples: usize, host_cpus: usize) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"view_maintenance\",\n");
-    s.push_str(&format!("  \"pr\": {PR},\n"));
-    s.push_str(&format!("  \"samples\": {samples},\n"));
-    s.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    s.push_str("  \"results\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"op\": \"{}\", \"rows\": {}, \"reexec_ns\": {}, \"maint_ns\": {}, \
-             \"speedup\": {:.2}}}{}\n",
-            p.op,
-            p.rows,
-            p.reexec.as_nanos(),
-            p.maint.as_nanos(),
-            p.speedup(),
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let rows = points
+        .iter()
+        .map(|p| ab_row(p.op, p.rows, ("reexec_ns", p.reexec), ("maint_ns", p.maint)));
+    render("view_maintenance", PR, samples, None, host_cpus, rows)
 }

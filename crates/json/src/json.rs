@@ -1,10 +1,4 @@
-//! A minimal JSON value, parser and writer for the wire protocol.
-//!
-//! The build environment is offline (no serde), and the protocol only
-//! needs scalars, arrays and string-keyed objects, so this is a small
-//! hand-rolled recursive-descent parser over one line of input plus an
-//! escaping writer. Integers are kept exact (`i64`) and separate from
-//! floats so statement parameters round-trip without loss.
+//! The [`Json`] value type, its escaping writer and its parser.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -59,6 +53,16 @@ impl Json {
     pub fn as_int(&self) -> Option<i64> {
         match self {
             Json::Int(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload as a float, whether it parsed as an exact
+    /// integer or not.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Int(n) => Some(*n as f64),
+            Json::Float(x) => Some(*x),
             _ => None,
         }
     }
@@ -267,63 +271,58 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one step:
+            // both are ASCII, so the run ends on a UTF-8 boundary, and
+            // decoding stays linear in the length of the string.
             let rest = self.bytes.get(self.pos..).unwrap_or(&[]);
-            let Some(&b) = rest.first() else {
-                return Err("unterminated string".into());
-            };
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    let esc = rest.get(1).copied().ok_or("unterminated escape")?;
-                    self.pos += 2;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
-                            // Surrogate pairs: 😀 etc.
-                            let c = if (0xd800..0xdc00).contains(&code) {
-                                let low = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 6)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .and_then(|h| h.strip_prefix("\\u"))
-                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                    .ok_or("unpaired surrogate")?;
-                                self.pos += 6;
-                                let joined = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
-                                char::from_u32(joined).ok_or("bad surrogate pair")?
-                            } else {
-                                char::from_u32(code).ok_or("bad \\u code point")?
-                            };
-                            out.push(c);
-                        }
-                        _ => return Err(format!("bad escape '\\{}'", esc as char)),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar, however many bytes long.
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            let plain = rest.get(..run).unwrap_or(&[]);
+            out.push_str(std::str::from_utf8(plain).map_err(|_| "invalid utf-8")?);
+            self.pos += run + 1;
+            if rest.get(run) == Some(&b'"') {
+                return Ok(out);
+            }
+            let esc = self.peek().ok_or("unterminated escape")?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000c}'),
+                b'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .ok_or("bad \\u escape")?;
+                    let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                    self.pos += 4;
+                    // Surrogate pairs: 😀 etc.
+                    let c = if (0xd800..0xdc00).contains(&code) {
+                        let low = self
+                            .bytes
+                            .get(self.pos..self.pos + 6)
+                            .and_then(|h| std::str::from_utf8(h).ok())
+                            .and_then(|h| h.strip_prefix("\\u"))
+                            .and_then(|h| u32::from_str_radix(h, 16).ok())
+                            .filter(|low| (0xdc00..0xe000).contains(low))
+                            .ok_or("unpaired surrogate")?;
+                        self.pos += 6;
+                        let joined = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                        char::from_u32(joined).ok_or("bad surrogate pair")?
+                    } else {
+                        char::from_u32(code).ok_or("bad \\u code point")?
+                    };
                     out.push(c);
-                    self.pos += c.len_utf8();
                 }
+                _ => return Err(format!("bad escape '\\{}'", esc as char)),
             }
         }
     }
@@ -391,8 +390,33 @@ mod tests {
 
     #[test]
     fn garbage_is_rejected() {
-        for text in ["", "{", "[1,", "\"abc", "1 2", "{'a':1}", "nul"] {
+        let bad_low_surrogate = r#""\ud800\u0041""#;
+        for text in [
+            "",
+            "{",
+            "[1,",
+            "\"abc",
+            "1 2",
+            "{'a':1}",
+            "nul",
+            bad_low_surrogate,
+        ] {
             assert!(Json::parse(text).is_err(), "{text:?} should fail");
         }
+    }
+
+    #[test]
+    fn long_strings_decode_in_linear_time() {
+        // 256 KiB of multibyte characters and escapes: a decoder that
+        // re-validates the rest of the input per character takes seconds.
+        let unit = "é😀 \"q\"\n\\ ⊗δ\t";
+        let s = unit.repeat(256 * 1024 / unit.len() + 1);
+        assert!(s.len() >= 256 * 1024);
+        let text = Json::str(s.as_str()).to_string();
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&text).unwrap();
+        let took = start.elapsed();
+        assert_eq!(parsed.as_str(), Some(s.as_str()));
+        assert!(took.as_secs_f64() < 1.0, "parsing took {took:?}");
     }
 }

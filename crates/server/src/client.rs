@@ -2,7 +2,7 @@
 //! `\connect` mode, the saturation benchmark, the smoke binary and the
 //! integration tests.
 
-use crate::json::Json;
+use aggprov_json::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 

@@ -62,11 +62,10 @@
 #![deny(missing_debug_implementations)]
 
 pub mod client;
-pub mod json;
 pub mod server;
 pub mod session;
 
+pub use aggprov_json::Json;
 pub use client::{Client, ClientError};
-pub use json::Json;
 pub use server::{Server, ShutdownHandle};
 pub use session::Session;

@@ -9,7 +9,6 @@
 //! epoch. Handles are plain integers scoped to the session; closing the
 //! connection drops everything.
 
-use crate::json::Json;
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::hom::Valuation;
 use aggprov_algebra::semiring::{CommutativeSemiring, Nat, Security};
@@ -17,7 +16,8 @@ use aggprov_core::{Prov, Value};
 use aggprov_engine::{
     DbSnapshot, MaintenanceStrategy, ParseAnnotation, ProvDb, ResultSet, SnapPrepared,
 };
-use std::collections::{BTreeMap, HashMap};
+use aggprov_json::Json;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, RwLock};
 
@@ -558,13 +558,8 @@ where
             let values: Vec<Json> = (0..out.schema().arity())
                 .map(|i| Json::str(row.at(i).to_string()))
                 .collect();
-            let mut obj = BTreeMap::new();
-            obj.insert("values".to_string(), Json::Arr(values));
-            obj.insert(
-                "annotation".to_string(),
-                Json::str(row.annotation().to_string()),
-            );
-            Json::Obj(obj)
+            let annotation = Json::str(row.annotation().to_string());
+            Json::obj([("values", Json::Arr(values)), ("annotation", annotation)])
         })
         .collect();
     vec![
